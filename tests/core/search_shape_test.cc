@@ -1,0 +1,101 @@
+// Search-shape goldens: branch-and-bound node counts on fixed draws of
+// three of the paper's hardness families (Theorem 3.5a CNF depth-2,
+// two-constraint SUBSET-SUM, Theorem 4.4 QBF -> 2-HRC). Node counts
+// depend on which LP vertex each relaxation returns, so a change that
+// moves a vertex (pricing, crash bases, early phase-1 exits) shows up
+// here. Such a change must update these values on purpose; a pure
+// speed-up of the simplex must leave them as they are.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/consistency.h"
+#include "reductions/cnf.h"
+#include "reductions/cnf_depth2.h"
+#include "reductions/qbf.h"
+#include "reductions/qbf_hrc.h"
+#include "reductions/subset_sum.h"
+
+namespace xmlverify {
+namespace {
+
+struct Golden {
+  uint64_t seed;
+  int64_t nodes;
+};
+
+// Checks `spec` with default options and returns the verdict, after
+// asserting it matches the family's own oracle.
+ConsistencyVerdict CheckAgainstOracle(const Specification& spec,
+                                      bool expected_consistent,
+                                      const std::string& context) {
+  ConsistencyChecker checker;
+  Result<ConsistencyVerdict> verdict = checker.Check(spec);
+  EXPECT_TRUE(verdict.ok()) << context;
+  if (!verdict.ok()) return {};
+  EXPECT_EQ(verdict->outcome, expected_consistent
+                                  ? ConsistencyOutcome::kConsistent
+                                  : ConsistencyOutcome::kInconsistent)
+      << context;
+  return std::move(verdict).ValueOrDie();
+}
+
+TEST(SearchShapeTest, CnfDepth2NodeCounts) {
+  const Golden goldens[] = {{11, 6}, {12, 9}, {13, 4}, {14, 11}};
+  for (const Golden& golden : goldens) {
+    CnfFormula formula = CnfFormula::Random(6, 12, 3, golden.seed);
+    std::string context = "cnf n=6 seed " + std::to_string(golden.seed);
+    ConsistencyVerdict verdict = CheckAgainstOracle(
+        CnfToDepth2Spec(formula).ValueOrDie(), formula.Solve().has_value(),
+        context);
+    EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+  }
+}
+
+// Eight items below 2^8 and a target below their sum, drawn from a
+// fixed linear congruential stream.
+SubsetSumInstance SubsetSumDraw(uint64_t seed) {
+  uint64_t state = seed;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  SubsetSumInstance instance;
+  int64_t sum = 0;
+  for (int i = 0; i < 8; ++i) {
+    int64_t item = 1 + static_cast<int64_t>(next() % 255);
+    instance.items.push_back(item);
+    sum += item;
+  }
+  instance.target = 1 + static_cast<int64_t>(next() % sum);
+  return instance;
+}
+
+TEST(SearchShapeTest, SubsetSumNodeCounts) {
+  const Golden goldens[] = {{21, 41}, {22, 21}, {23, 11}, {24, 15}};
+  for (const Golden& golden : goldens) {
+    SubsetSumInstance instance = SubsetSumDraw(golden.seed);
+    std::string context = "subset-sum b=8 seed " + std::to_string(golden.seed);
+    ConsistencyVerdict verdict =
+        CheckAgainstOracle(SubsetSumToSpec(instance).ValueOrDie(),
+                           instance.HasSolution(), context);
+    EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+  }
+}
+
+TEST(SearchShapeTest, QbfTo2HrcNodeCounts) {
+  const Golden goldens[] = {{31, 314}, {32, 297}, {33, 272}, {34, 223}};
+  for (const Golden& golden : goldens) {
+    QbfFormula formula = QbfFormula::Random(3, 3, 2, golden.seed);
+    std::string context = "qbf-hrc m=3 seed " + std::to_string(golden.seed);
+    ConsistencyVerdict verdict = CheckAgainstOracle(
+        QbfTo2HrcSpec(formula).ValueOrDie(), formula.Evaluate(), context);
+    EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+  }
+}
+
+}  // namespace
+}  // namespace xmlverify
