@@ -204,9 +204,23 @@ class DenseTableau {
 // is a merge walk that drops exact cancellations, so sparsity survives
 // pivoting wherever the arithmetic allows. Cells start in the int64
 // tier and promote to BigInt individually on overflow. Column layout
-// matches the dense engine: vars, slack/surplus, artificials. Lives in
-// a named namespace (not the anonymous one) because SimplexWarmState —
-// an external-linkage type — embeds a finished tableau by value.
+// matches the dense engine: vars, slack/surplus, artificials, then the
+// slacks AppendRelaxedRow adds.
+//
+// An artificial that leaves the basis is dropped for good (see Pivot):
+// its column never fills in and it can never re-enter. Tableau columns
+// transform independently, so every other column, the right-hand sides
+// and the reduced costs stay exactly the dense engine's, and the pivot
+// sequence is the dense engine's up to the point where that engine
+// would enter an artificial. Bland's scan reaches an artificial only
+// once every other reduced cost is nonnegative; for a feasible system
+// the phase-1 objective is then already zero (Farkas), so the dense
+// engine's remaining pivots are degenerate and both engines return the
+// same vertex, this one in no more pivots.
+//
+// Lives in a named namespace (not the anonymous one) because
+// SimplexWarmState — an external-linkage type — embeds a finished
+// tableau by value.
 namespace simplex_detail {
 
 class SparseTableau {
@@ -222,7 +236,8 @@ class SparseTableau {
     }
     slack_base_ = num_vars_;
     artificial_base_ = slack_base_ + num_slacks;
-    num_cols_ = artificial_base_ + num_rows_;
+    artificial_end_ = artificial_base_ + num_rows_;
+    num_cols_ = artificial_end_;
 
     rows_.resize(num_rows_);
     rhs_.resize(num_rows_);
@@ -407,7 +422,8 @@ class SparseTableau {
   enum class DualStatus {
     kPrimalFeasible,  // all rhs >= 0: hand over to the primal epilogue
     kInfeasible,      // a row refutes the system (sound: no artificials
-                      // were introduced by AppendRelaxedRow)
+                      // were introduced by AppendRelaxedRow, and dropped
+                      // ones are fixed at zero, as in the original system)
     kGaveUp,          // pivot valve tripped: caller re-solves cold
   };
 
@@ -418,9 +434,10 @@ class SparseTableau {
   // the row's negative entries, the smallest index minimizing
   // reduced_j / -a_rj, which keeps every reduced cost nonnegative. A
   // row with a negative rhs and no negative entry proves infeasibility
-  // outright. The pivot valve bounds degenerate chains (possible only
-  // if the parent basis was not dual feasible, a cannot-happen path
-  // handled defensively): the caller falls back to a cold solve.
+  // outright; dropped artificials have no entries, so they never enter.
+  // The pivot valve bounds degenerate chains (possible only if the
+  // parent basis was not dual feasible, a cannot-happen path handled
+  // defensively): the caller falls back to a cold solve.
   // Observes the same deadline/fault contract as Optimize; when either
   // out-flag is set the status carries no verdict.
   DualStatus DualReoptimize(int64_t* pivots, const Deadline& deadline,
@@ -470,11 +487,17 @@ class SparseTableau {
   }
 
  private:
-  // Binary search for a column's cell; nullptr when structurally zero.
-  static const TwoTierRational* Find(const SparseRow& row, int col) {
-    auto it = std::lower_bound(
+  // First cell at or after column `col` (rows are sorted by column).
+  template <typename Row>
+  static auto LowerBound(Row& row, int col) {
+    return std::lower_bound(
         row.begin(), row.end(), col,
         [](const Cell& cell, int c) { return cell.first < c; });
+  }
+
+  // Binary search for a column's cell; nullptr when structurally zero.
+  static const TwoTierRational* Find(const SparseRow& row, int col) {
+    auto it = LowerBound(row, col);
     if (it == row.end() || it->first != col) return nullptr;
     return &it->second;
   }
@@ -511,6 +534,18 @@ class SparseTableau {
 
   void Pivot(int pivot_row, int pivot_col) {
     SparseRow& prow = rows_[pivot_row];
+    const int leaving = basis_[pivot_row];
+    if (leaving >= artificial_base_ && leaving < artificial_end_) {
+      // Drop the leaving artificial: as a basic column its only cell is
+      // its own unit entry here, so erasing that cell before the
+      // elimination keeps the column empty for good. Its reduced cost
+      // (zero while basic) must stay zero: an empty column with a
+      // negative cost would stop Bland's scan at the no-leaving-row
+      // break and report a false optimum.
+      auto cell = LowerBound(prow, leaving);
+      if (cell != prow.end() && cell->first == leaving) prow.erase(cell);
+      reduced_[leaving] = TwoTierRational();
+    }
     // Normalize the pivot row (copy the pivot value first: the loop
     // divides it by itself in place).
     TwoTierRational pivot_value = *Find(prow, pivot_col);
@@ -544,7 +579,10 @@ class SparseTableau {
   int num_rows_;
   int num_cols_ = 0;
   int slack_base_ = 0;
+  // Artificials are [artificial_base_, artificial_end_), one per
+  // original row; AppendRelaxedRow's slacks come after them.
   int artificial_base_ = 0;
+  int artificial_end_ = 0;
   std::vector<SparseRow> rows_;
   std::vector<TwoTierRational> rhs_;
   std::vector<TwoTierRational> reduced_;
@@ -618,6 +656,24 @@ SimplexResult RunWithTableau(int num_vars,
   return result;
 }
 
+// The child system's rows, base then extra: built only when a re-solve
+// has to start cold.
+SimplexResult SolveJoinedCold(int num_vars,
+                              const std::vector<LinearConstraint>& base,
+                              const std::vector<LinearConstraint>& extra,
+                              const Deadline& deadline,
+                              const ResourceBudget* budget,
+                              const SimplexOptions& options) {
+  std::vector<LinearConstraint> constraints;
+  constraints.reserve(base.size() + extra.size());
+  constraints.insert(constraints.end(), base.begin(), base.end());
+  constraints.insert(constraints.end(), extra.begin(), extra.end());
+  SimplexResult cold = SolveLp(num_vars, constraints, deadline, budget, options);
+  cold.warm_fallback = true;
+  trace::Count("simplex/warm_fallbacks");
+  return cold;
+}
+
 }  // namespace
 
 SimplexResult SolveLp(int num_vars,
@@ -635,26 +691,23 @@ SimplexResult SolveLp(int num_vars,
 }
 
 SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
-                        const std::vector<LinearConstraint>& constraints,
-                        int delta, int num_vars, const Deadline& deadline,
+                        const std::vector<LinearConstraint>& base,
+                        const std::vector<LinearConstraint>& extra, int delta,
+                        int num_vars, const Deadline& deadline,
                         const ResourceBudget* budget,
                         const SimplexOptions& options) {
   bool warm_eligible = options.sparse && parent != nullptr && delta > 0 &&
-                       delta <= static_cast<int>(constraints.size());
+                       delta <= static_cast<int>(extra.size());
   if (warm_eligible) {
-    for (size_t i = constraints.size() - delta; i < constraints.size(); ++i) {
-      if (constraints[i].relation == Relation::kEq) {
+    for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
+      if (extra[i].relation == Relation::kEq) {
         warm_eligible = false;
         break;
       }
     }
   }
   if (!warm_eligible) {
-    SimplexResult cold =
-        SolveLp(num_vars, constraints, deadline, budget, options);
-    cold.warm_fallback = true;
-    trace::Count("simplex/warm_fallbacks");
-    return cold;
+    return SolveJoinedCold(num_vars, base, extra, deadline, budget, options);
   }
 
   trace::Count("simplex/warm_calls");
@@ -662,8 +715,8 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   int64_t warm_pivots = 0;
   {
     SparseTableau tableau(parent->tableau);  // deep copy
-    for (size_t i = constraints.size() - delta; i < constraints.size(); ++i) {
-      tableau.AppendRelaxedRow(constraints[i]);
+    for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
+      tableau.AppendRelaxedRow(extra[i]);
     }
     std::optional<ScopedMemoryCharge> charge;
     if (budget != nullptr) {
@@ -728,11 +781,9 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   // Pivot valve tripped: the dual chain degenerated (only reachable
   // when the parent basis was not dual feasible). Re-solve cold; the
   // wasted dual pivots stay in the count.
-  trace::Count("simplex/warm_fallbacks");
-  SimplexResult cold = SolveLp(num_vars, constraints, deadline, budget,
-                               options);
+  SimplexResult cold =
+      SolveJoinedCold(num_vars, base, extra, deadline, budget, options);
   cold.pivots += warm_pivots;
-  cold.warm_fallback = true;
   return cold;
 }
 

@@ -8,7 +8,8 @@
 // Two tableau engines share the pivot driver (see docs/performance.md):
 //   * sparse (default): rows stored as sorted (column, value) pairs of
 //     two-tier rationals (int64 fast tier, BigInt on overflow), pivots
-//     walk nonzeros only;
+//     walk nonzeros only and drop artificials as they leave the basis
+//     (same vertex as the dense engine, in no more pivots);
 //   * dense (legacy): the original dense BigInt-rational tableau, kept
 //     as the differential-testing reference engine.
 #ifndef XMLVERIFY_ILP_SIMPLEX_H_
@@ -89,23 +90,25 @@ SimplexResult SolveLp(int num_vars,
                       const ResourceBudget* budget = nullptr,
                       const SimplexOptions& options = {});
 
-/// Re-solves a system that extends `parent`'s by the trailing `delta`
-/// rows of `constraints` (which must list the parent's rows followed
-/// by exactly the delta rows). Each inequality delta row is appended
-/// to a copy of the parent's final tableau with its slack basic — no
-/// artificials, so the parent's phase-1 optimality is preserved as
-/// dual feasibility — and a Bland-rule dual simplex restores primal
-/// feasibility in typically a handful of pivots. Falls back to a cold
-/// SolveLp over `constraints` (setting warm_fallback) when the warm
-/// path does not apply: null/absent parent state, dense engine, an
-/// equality delta row, or a degenerate dual chain exceeding the pivot
-/// valve. Either way the result is exactly equivalent to a cold solve
-/// in its feasibility verdict, and observes the same deadline, budget,
-/// and fault-injection contracts as SolveLp.
+/// Re-solves the system `base` followed by `extra`, where `parent` is
+/// the final tableau of the same rows minus the trailing `delta` rows
+/// of `extra`. The rows are passed in two parts so that a warm re-solve
+/// never copies `base`: it reads only the delta rows, and the two parts
+/// are joined only for a cold fallback. Each inequality delta row is
+/// appended to a copy of the parent's final tableau with its slack
+/// basic — no artificials, so the parent's phase-1 optimality is
+/// preserved as dual feasibility — and a Bland-rule dual simplex
+/// restores primal feasibility in typically a handful of pivots. Falls
+/// back to a cold SolveLp over base ++ extra (setting warm_fallback)
+/// when the warm path does not apply: null/absent parent state, dense
+/// engine, an equality delta row, or a degenerate dual chain exceeding
+/// the pivot valve. Either way the result is exactly equivalent to a
+/// cold solve in its feasibility verdict, and observes the same
+/// deadline, budget, and fault-injection contracts as SolveLp.
 SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
-                        const std::vector<LinearConstraint>& constraints,
-                        int delta, int num_vars,
-                        const Deadline& deadline = Deadline(),
+                        const std::vector<LinearConstraint>& base,
+                        const std::vector<LinearConstraint>& extra, int delta,
+                        int num_vars, const Deadline& deadline = Deadline(),
                         const ResourceBudget* budget = nullptr,
                         const SimplexOptions& options = {});
 

@@ -5,6 +5,7 @@
 
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
+#include "tests/ilp/random_lp.h"
 #include "tests/test_util.h"
 
 namespace xmlverify {
@@ -72,6 +73,41 @@ TEST_P(RandomIlpSweep, SatSolutionsVerifyAndUnsatResistsSampling) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomIlpSweep,
                          ::testing::Range(uint64_t{0}, uint64_t{40}));
+
+// The sparse engine drops artificials as they leave the basis; the
+// dense engine keeps them. Both must stop at the same vertex: cold
+// solves agree on feasibility and, when feasible, on every coordinate,
+// and the sparse engine never needs more pivots.
+TEST(SimplexStressTest, SparseAndDenseEnginesReturnTheSameVertex) {
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  SimplexOptions dense;
+  dense.sparse = false;
+  int feasible = 0;
+  const int kPrograms = 2000;
+  for (int trial = 0; trial < kPrograms; ++trial) {
+    RandomLpShape shape;
+    shape.planted = trial % 2 == 0;
+    shape.redundant_equalities = trial % 3 == 0 ? 2 : 0;
+    RandomLp lp = GenerateRandomLp(&state, shape);
+    SimplexResult sparse_result = SolveLp(lp.num_vars, lp.rows);
+    SimplexResult dense_result =
+        SolveLp(lp.num_vars, lp.rows, Deadline(), nullptr, dense);
+    ASSERT_EQ(sparse_result.feasible, dense_result.feasible)
+        << "trial " << trial;
+    if (shape.planted) {
+      EXPECT_TRUE(sparse_result.feasible) << "trial " << trial;
+    }
+    if (sparse_result.feasible) {
+      ++feasible;
+      EXPECT_EQ(sparse_result.solution, dense_result.solution)
+          << "trial " << trial;
+    }
+    EXPECT_LE(sparse_result.pivots, dense_result.pivots) << "trial " << trial;
+  }
+  // Both verdicts occur, so the sweep compares vertices and refutations.
+  EXPECT_GE(feasible, kPrograms / 2);
+  EXPECT_LT(feasible, kPrograms);
+}
 
 TEST(SimplexStressTest, LargeCoefficientFeasibility) {
   // x = 10^25, y = 2x: exact arithmetic must carry through.
