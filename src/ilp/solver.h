@@ -37,6 +37,10 @@ enum class SolveOutcome {
 struct SolveResult {
   SolveOutcome outcome = SolveOutcome::kUnknown;
   std::vector<BigInt> assignment;  // kSat only
+  /// Branch-and-bound nodes expanded. With jobs > 1 a kSat result
+  /// leaves out speculative expansions canonically after the winning
+  /// leaf, so on limit-free runs the count equals the serial search's
+  /// at any job count. lp_pivots still includes their work.
   int64_t nodes_explored = 0;
   int64_t lp_pivots = 0;
   std::string note;
@@ -85,10 +89,10 @@ struct SolverOptions {
   /// count on limit-free runs: every node carries a canonical
   /// exploration-order key (its branch path; lexicographic order is
   /// exactly serial DFS preorder) and the canonically-first definitive
-  /// leaf wins, so kSat witnesses are identical to the serial
-  /// search's. Which non-verdict limit (deadline / node / memory)
-  /// fires first may vary with scheduling, as it already does across
-  /// machines.
+  /// leaf wins, so kSat witnesses and node counts are identical to
+  /// the serial search's. Which non-verdict limit (deadline / node /
+  /// memory) fires first may vary with scheduling, as it already does
+  /// across machines.
   int jobs = 1;
   /// Seed for the steal-victim rotation. Scheduling diversification
   /// only; never affects the result (see `jobs`).

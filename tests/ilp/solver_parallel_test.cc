@@ -1,7 +1,8 @@
 // Parallel branch-and-bound: the work-stealing node pool must be a
-// determinism-preserving drop-in for the serial loop. Verdicts AND
-// kSat witnesses are identical at any job count (canonical node
-// order: the first definitive leaf in serial DFS preorder wins), and
+// determinism-preserving drop-in for the serial loop. Verdicts, kSat
+// witnesses and node counts are identical at any job count (canonical
+// node order: the first definitive leaf in serial DFS preorder wins,
+// and speculative expansions past it are not counted), and
 // the shared exploration-order convention — the >= / growth child
 // first, for all three branch kinds — is locked down here.
 #include <gtest/gtest.h>
@@ -32,6 +33,8 @@ void ExpectSameDecision(const IntegerProgram& program) {
     // The canonical-order rule makes the witness itself deterministic,
     // not just the verdict.
     EXPECT_EQ(parallel.assignment, serial.assignment) << "jobs=" << jobs;
+    EXPECT_EQ(parallel.nodes_explored, serial.nodes_explored)
+        << "jobs=" << jobs;
   }
 }
 
@@ -108,7 +111,9 @@ TEST(SolverParallelTest, PrequadraticDeepeningMatchesSerial) {
 // 2x >= 1 outright, while the >= child (x >= 1) solves integrally at
 // (1, 1). Exploring >= first reaches SAT at node 2 and the discard
 // rule drains the <= child unprocessed; the historical <=-first order
-// would have to process the infeasible child, making 3 nodes.
+// would have to process the infeasible child, making 3 nodes. At
+// jobs=4 a thief may expand the <= child before the leaf is recorded;
+// being canonically after the leaf, it is not counted.
 TEST(SolverParallelTest, NodeOrderConventionPrefersGrowthChild) {
   IntegerProgram program;
   VarId x = program.NewVariable("x");

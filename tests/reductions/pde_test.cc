@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/consistency.h"
 #include "tests/test_util.h"
 
@@ -75,6 +77,11 @@ PdeCase MakeCase(std::vector<PdeSystem::LinearRow> rows,
   c.label = label;
   return c;
 }
+
+// Names each case by its label. The default printer dumps the
+// object's bytes, heap addresses included, so the test names would
+// change from one build to the next.
+void PrintTo(const PdeCase& param, std::ostream* os) { *os << param.label; }
 
 class PdeReductionSweep : public ::testing::TestWithParam<PdeCase> {};
 

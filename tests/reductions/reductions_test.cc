@@ -3,6 +3,8 @@
 // coincide with the source problem's answer.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/consistency.h"
 #include "core/sat_bounded.h"
 #include "core/sat_hierarchical.h"
@@ -88,6 +90,17 @@ struct SubsetSumCase {
   int64_t target;
   std::vector<int64_t> items;
 };
+
+// Names each case as it is written below, e.g. "{5, {2, 3}}". The
+// default printer dumps the object's bytes, the items' heap address
+// included, so the test names would change from one build to the next.
+void PrintTo(const SubsetSumCase& param, std::ostream* os) {
+  *os << "{" << param.target << ", {";
+  for (size_t i = 0; i < param.items.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << param.items[i];
+  }
+  *os << "}}";
+}
 
 class SubsetSumSweep : public ::testing::TestWithParam<SubsetSumCase> {};
 
