@@ -6,10 +6,10 @@
 //   * fast   — presolve + sparse two-tier (int64/BigInt) simplex,
 //              dual-simplex warm starts (the default pipeline)
 //   * legacy — no presolve, dense BigInt tableau, cold re-solves
-// Branch-and-bound ablations isolate the warm-start and parallel
-// layers (ColdStart = fast minus warm starts; Parallel = fast at
-// jobs=4). BENCH_solver.json records the before/after numbers; the
-// gated end-to-end comparison lives in bench_solver_parallel.
+// The branch-and-bound ablation isolates the warm-start layer
+// (ColdStart = fast minus warm starts). BENCH_solver.json records the
+// before/after numbers; the gated warm-vs-cold comparison lives in
+// bench_warm_start.
 #include <benchmark/benchmark.h>
 
 #include "base/bigint.h"
@@ -159,22 +159,10 @@ void BM_BranchAndBound_ColdStart(benchmark::State& state) {
   options.warm_start = false;
   BranchAndBoundBench(state, options);
 }
-// Ablation: the fast pipeline under the work-stealing node pool.
-// Same verdicts and witnesses as serial (canonical node order); the
-// timing delta is thread overhead vs. useful overlap at this core
-// count.
-void BM_BranchAndBound_Parallel(benchmark::State& state) {
-  SolverOptions options = PipelineOptions(/*fast=*/true);
-  options.jobs = 4;
-  BranchAndBoundBench(state, options);
-}
 BENCHMARK(BM_BranchAndBound_SparseNoPresolve)
     ->Arg(6)->Arg(10)->Arg(14)->Arg(18)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BranchAndBound_ColdStart)
-    ->Arg(6)->Arg(10)->Arg(14)->Arg(18)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BranchAndBound_Parallel)
     ->Arg(6)->Arg(10)->Arg(14)->Arg(18)
     ->Unit(benchmark::kMillisecond);
 

@@ -84,8 +84,6 @@ int Usage() {
                "(a single combined <spec.xvc> may replace the file pair)\n"
                "flags (any position):\n"
                "  --jobs=N           batch worker threads\n"
-               "  --solver-jobs=N    parallel branch-and-bound workers\n"
-               "                     inside each solver call (default 1)\n"
                "  --timeout=MS       per-check wall-clock budget (ms)\n"
                "  --memory-limit=MB  per-check tracked-memory ceiling\n"
                "  --max-depth=N      parser/recursion nesting ceiling\n"
@@ -107,7 +105,6 @@ struct BudgetFlags {
   int64_t memory_limit_bytes = 0;
   int max_depth = 0;
   int retries = 0;
-  int solver_jobs = 0;  // 0: keep the solver's serial default
   bool explain_core = false;  // check: minimize a core on INCONSISTENT
 
   ConsistencyChecker::Options MakeCheckerOptions() const {
@@ -117,7 +114,6 @@ struct BudgetFlags {
     }
     options.budget.set_memory_limit_bytes(memory_limit_bytes);
     options.budget.set_max_depth(max_depth);
-    if (solver_jobs > 0) options.solver.jobs = solver_jobs;
     return options;
   }
 };
@@ -380,13 +376,6 @@ int main(int argc, char** argv) {
       jobs = std::atoi(arg.c_str() + 7);
       if (jobs <= 0) {
         std::fprintf(stderr, "error: --jobs expects a positive integer\n");
-        return 2;
-      }
-    } else if (StartsWith(arg, "--solver-jobs=")) {
-      budget.solver_jobs = std::atoi(arg.c_str() + 14);
-      if (budget.solver_jobs <= 0) {
-        std::fprintf(stderr,
-                     "error: --solver-jobs expects a positive integer\n");
         return 2;
       }
     } else if (StartsWith(arg, "--timeout=")) {

@@ -19,10 +19,6 @@
 //                   default), legacy (reference dense pipeline), or
 //                   both (run the two pipelines per cell and report
 //                   any definitive verdict that differs)
-//   --solver-jobs=N additionally run every cell with the parallel
-//                   branch-and-bound solver at N workers and compare
-//                   its definitive verdicts against the serial fast
-//                   pipeline (stackable with --solver=both)
 //   --timeout=MS    per-procedure wall-clock budget in milliseconds
 //   --stats         print a JSON phase/counter report to stdout
 //
@@ -56,9 +52,6 @@ int Usage() {
                "  --shrink / --no-shrink\n"
                "                 minimize disagreeing specs (default on)\n"
                "  --solver=MODE  fast (default), legacy, or both\n"
-               "  --solver-jobs=N\n"
-               "                 cross-check the parallel solver at N\n"
-               "                 workers against the serial pipeline\n"
                "  --impl         also cross-check the implication engine\n"
                "                 (quick tier vs full encoding vs brute\n"
                "                 force) on every generated spec\n"
@@ -128,13 +121,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr,
                      "error: --solver expects fast, legacy, or both\n");
-        return 2;
-      }
-    } else if (StartsWith(arg, "--solver-jobs=")) {
-      options.solver_jobs = std::atoi(arg.c_str() + 14);
-      if (options.solver_jobs <= 0) {
-        std::fprintf(stderr,
-                     "error: --solver-jobs expects a positive integer\n");
         return 2;
       }
     } else if (StartsWith(arg, "--timeout=")) {

@@ -17,11 +17,10 @@ struct Cell {
   Disagreement disagreement;  // filled only when `disagreed`
 };
 
-OracleOptions WithSolverPipeline(OracleOptions oracle, bool fast, int jobs) {
+OracleOptions WithSolverPipeline(OracleOptions oracle, bool fast) {
   oracle.solver.use_presolve = fast;
   oracle.solver.use_sparse_simplex = fast;
   oracle.solver.warm_start = fast;
-  oracle.solver.jobs = jobs;
   return oracle;
 }
 
@@ -30,67 +29,50 @@ bool Definitive(ConsistencyOutcome outcome) {
          outcome == ConsistencyOutcome::kInconsistent;
 }
 
-// Cross-checks `spec` under the configured solver pipeline(s). Beyond
-// the primary (fast, serial) report, each additional pipeline — the
-// legacy engine for kBoth, the parallel solver for solver_jobs > 1 —
-// is merged in, and any definitive verdict that differs between the
-// pipelines (overall consensus or any individual procedure) becomes a
-// disagreement. Only definitive verdicts are compared: which
-// non-verdict limit fires first legitimately varies across engines
-// and schedules.
+// Cross-checks `spec` under the configured solver pipeline(s). For
+// kBoth the legacy engine's report is merged into the fast one, and
+// any definitive verdict that differs between the pipelines (overall
+// consensus or any individual procedure) becomes a disagreement. Only
+// definitive verdicts are compared: which non-verdict limit fires
+// first legitimately varies across engines.
 CrossCheckReport CheckUnderSolverPath(const Specification& spec,
                                       const DifftestOptions& options) {
   if (options.solver_path == SolverPath::kLegacy) {
     return CrossCheckSpecification(
-        spec, WithSolverPipeline(options.oracle, /*fast=*/false, /*jobs=*/1));
+        spec, WithSolverPipeline(options.oracle, /*fast=*/false));
   }
   CrossCheckReport fast = CrossCheckSpecification(
-      spec, WithSolverPipeline(options.oracle, /*fast=*/true, /*jobs=*/1));
-  const bool parallel = options.solver_jobs > 1;
-  if (options.solver_path == SolverPath::kFast && !parallel) return fast;
+      spec, WithSolverPipeline(options.oracle, /*fast=*/true));
+  if (options.solver_path == SolverPath::kFast) return fast;
 
+  CrossCheckReport legacy = CrossCheckSpecification(
+      spec, WithSolverPipeline(options.oracle, /*fast=*/false));
   CrossCheckReport merged = fast;
-  auto merge_pipeline = [&](const std::string& name,
-                            const CrossCheckReport& other) {
-    for (const std::string& reason : other.disagreements) {
-      merged.disagreements.push_back(name + ": " + reason);
-    }
-    if (fast.consensus.has_value() && other.consensus.has_value() &&
-        *fast.consensus != *other.consensus) {
-      merged.disagreements.push_back(
-          "solver-path divergence: consensus fast=" +
-          OutcomeName(*fast.consensus) + " " + name + "=" +
-          OutcomeName(*other.consensus));
-    }
-    for (const ProcedureRun& fast_run : fast.runs) {
-      if (!fast_run.ran || !Definitive(fast_run.verdict.outcome)) continue;
-      for (const ProcedureRun& other_run : other.runs) {
-        if (other_run.name != fast_run.name || !other_run.ran) continue;
-        if (Definitive(other_run.verdict.outcome) &&
-            other_run.verdict.outcome != fast_run.verdict.outcome) {
-          merged.disagreements.push_back(
-              "solver-path divergence: " + fast_run.name +
-              " fast=" + OutcomeName(fast_run.verdict.outcome) + " " + name +
-              "=" + OutcomeName(other_run.verdict.outcome));
-        }
-        break;
+  for (const std::string& reason : legacy.disagreements) {
+    merged.disagreements.push_back("legacy: " + reason);
+  }
+  if (fast.consensus.has_value() && legacy.consensus.has_value() &&
+      *fast.consensus != *legacy.consensus) {
+    merged.disagreements.push_back(
+        "solver-path divergence: consensus fast=" +
+        OutcomeName(*fast.consensus) +
+        " legacy=" + OutcomeName(*legacy.consensus));
+  }
+  for (const ProcedureRun& fast_run : fast.runs) {
+    if (!fast_run.ran || !Definitive(fast_run.verdict.outcome)) continue;
+    for (const ProcedureRun& legacy_run : legacy.runs) {
+      if (legacy_run.name != fast_run.name || !legacy_run.ran) continue;
+      if (Definitive(legacy_run.verdict.outcome) &&
+          legacy_run.verdict.outcome != fast_run.verdict.outcome) {
+        merged.disagreements.push_back(
+            "solver-path divergence: " + fast_run.name +
+            " fast=" + OutcomeName(fast_run.verdict.outcome) +
+            " legacy=" + OutcomeName(legacy_run.verdict.outcome));
       }
+      break;
     }
-    if (!merged.consensus.has_value()) merged.consensus = other.consensus;
-  };
-  if (options.solver_path == SolverPath::kBoth) {
-    merge_pipeline("legacy",
-                   CrossCheckSpecification(spec, WithSolverPipeline(
-                                                     options.oracle,
-                                                     /*fast=*/false,
-                                                     /*jobs=*/1)));
   }
-  if (parallel) {
-    merge_pipeline("jobs=" + std::to_string(options.solver_jobs),
-                   CrossCheckSpecification(
-                       spec, WithSolverPipeline(options.oracle, /*fast=*/true,
-                                                options.solver_jobs)));
-  }
+  if (!merged.consensus.has_value()) merged.consensus = legacy.consensus;
   return merged;
 }
 

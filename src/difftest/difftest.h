@@ -39,12 +39,6 @@ struct DifftestOptions {
   /// definitive verdict that differs between the pipelines (overall
   /// consensus or per-procedure) is reported as a disagreement.
   SolverPath solver_path = SolverPath::kFast;
-  /// When > 1, each cell additionally runs the exact procedures with
-  /// the parallel branch-and-bound solver (SolverOptions::jobs set to
-  /// this value) and cross-compares its definitive verdicts against
-  /// the serial fast pipeline — the parallel-vs-serial determinism
-  /// check, stackable with kBoth's fast-vs-legacy differential.
-  int solver_jobs = 1;
   /// Constraint classes to exercise; empty means all of them.
   std::vector<DifftestClass> classes;
   /// Worker threads (<= 0: one per hardware thread).

@@ -1,15 +1,10 @@
 #include "ilp/solver.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,47 +15,6 @@
 namespace xmlverify {
 
 namespace {
-
-// Parallel search only. A thief may expand nodes canonically after
-// the winning leaf before that leaf is recorded. Such speculative
-// work must not show in a kSat result's node count, which is the
-// serial search's: the nodes canonically at or before the winner.
-// Each node carries a record linked to its parent's. Expanding a node
-// adds one to every ancestor's count for the child the node lies
-// under, so at the end the winner's ancestor chain tells how many
-// expanded nodes lie canonically after it. Records live as long as a
-// pending or winning descendant does, so like the shared parent
-// tableaus their retention is bounded by branch depth.
-struct NodeRecord {
-  NodeRecord() = default;
-  NodeRecord(std::shared_ptr<NodeRecord> parent_in, uint32_t branch_in)
-      : parent(std::move(parent_in)), branch(branch_in) {}
-
-  std::shared_ptr<NodeRecord> parent;  // null at the root
-  uint32_t branch = 0;                 // this node's last order entry
-  std::atomic<int64_t> expanded_below[2] = {0, 0};
-};
-
-void CountExpansion(const NodeRecord& record) {
-  for (const NodeRecord* r = &record; r->parent != nullptr;
-       r = r->parent.get()) {
-    r->parent->expanded_below[r->branch].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
-// Expanded nodes canonically after `leaf`: those under a second child
-// of an ancestor whose first child leads to the leaf.
-int64_t ExpandedAfter(const NodeRecord& leaf) {
-  int64_t count = 0;
-  for (const NodeRecord* r = &leaf; r->parent != nullptr;
-       r = r->parent.get()) {
-    if (r->branch == 0) {
-      count += r->parent->expanded_below[1].load(std::memory_order_relaxed);
-    }
-  }
-  return count;
-}
 
 // A search node: the base program plus branching decisions, expressed
 // as extra linear constraints.
@@ -73,17 +27,9 @@ struct SearchNode {
   // the delta against the parent's tableau for dual-simplex warm
   // starts (0 at the root: no parent, cold solve).
   int delta = 0;
-  // Canonical exploration-order key: the branch path from the root,
-  // one entry per level (0 = the child the serial search explores
-  // first, 1 = second). Lexicographic order on these keys is exactly
-  // serial DFS preorder, which is the order the parallel search's
-  // first-definitive-leaf rule is defined over.
-  std::vector<uint32_t> order;
   // The parent's final LP tableau (sparse engine only), shared between
-  // siblings — and across threads; SimplexWarmState is immutable.
+  // siblings; SimplexWarmState is immutable.
   std::shared_ptr<const SimplexWarmState> warm;
-  // This node's record (parallel search only; null when serial).
-  std::shared_ptr<NodeRecord> record;
 };
 
 LinearConstraint VarBound(VarId var, Relation relation, BigInt bound,
@@ -97,14 +43,13 @@ LinearConstraint VarBound(VarId var, Relation relation, BigInt bound,
 }
 
 // Approximate resident footprint of one search node, charged against
-// the memory budget while the node sits in the branch pool. Sized by
+// the memory budget while the node sits on the branch stack. Sized by
 // the actual limb storage of each extra constraint (a branch bound
 // carrying a huge BigInt costs what it holds); the shared parent
 // tableau is charged transiently by the LP layer during each solve
-// and its retention is bounded by branch depth, not pool size.
+// and its retention is bounded by branch depth, not stack size.
 int64_t ApproxNodeBytes(const SearchNode& node) {
-  int64_t bytes = 64 + static_cast<int64_t>(node.conditional_decided.size()) +
-                  static_cast<int64_t>(node.order.size() * sizeof(uint32_t));
+  int64_t bytes = 64 + static_cast<int64_t>(node.conditional_decided.size());
   for (const LinearConstraint& constraint : node.extra) {
     bytes += ApproxConstraintBytes(constraint);
   }
@@ -127,44 +72,19 @@ bool GcdRefutes(const LinearConstraint& constraint) {
   return !(constraint.rhs % gcd).is_zero();
 }
 
-// A definitive leaf outcome: an integral SAT candidate, or a presolve
-// mapback mismatch deferring the decision to the legacy pipeline.
-// Tagged with the leaf's canonical order key; only the canonically
-// first event survives, which is exactly the leaf serial DFS would
-// have returned first.
-struct LeafEvent {
-  std::vector<uint32_t> order;
+// Why the search stopped before the stack drained: a definitive leaf
+// (an integral SAT candidate, or a presolve mapback mismatch deferring
+// the decision to the legacy pipeline) or a non-verdict limit
+// (deadline, node limit, memory, injected fault).
+struct SearchStop {
+  SolveOutcome outcome = SolveOutcome::kUnknown;
+  std::string note = "";
+  std::vector<BigInt> assignment = {};  // kSat only
   bool legacy_rerun = false;
-  std::vector<BigInt> assignment;  // SAT only
-  std::shared_ptr<NodeRecord> record;  // parallel search only
 };
 
-// A non-verdict stop: deadline, node limit, memory, injected fault.
-struct AbortState {
-  SolveOutcome outcome;
-  std::string note;
-};
-
-// State shared by every worker of one Solve call. Counters are
-// atomics; the result slots are guarded by result_mu.
+// What one Solve call's search reads, plus its counters.
 struct SearchContext {
-  SearchContext(const IntegerProgram& program_in,
-                const SolverOptions& options_in,
-                const std::vector<LinearConstraint>& base_in,
-                size_t uncapped_size_in, int search_vars_in,
-                const std::optional<PresolveInfo>& presolve_in,
-                const SimplexOptions& simplex_options_in, bool cap_active_in,
-                bool warm_enabled_in)
-      : program(program_in),
-        options(options_in),
-        base(base_in),
-        uncapped_size(uncapped_size_in),
-        search_vars(search_vars_in),
-        presolve(presolve_in),
-        simplex_options(simplex_options_in),
-        cap_active(cap_active_in),
-        warm_enabled(warm_enabled_in) {}
-
   const IntegerProgram& program;
   const SolverOptions& options;
   const std::vector<LinearConstraint>& base;
@@ -175,76 +95,47 @@ struct SearchContext {
   bool cap_active;
   bool warm_enabled;
 
-  std::atomic<int64_t> nodes_explored{0};
-  std::atomic<int64_t> lp_pivots{0};
-  std::atomic<bool> cap_was_relevant{false};
-  // Node bytes currently charged to the budget; whatever is still
-  // resident when Solve returns (SAT found, any limit) is released in
-  // one step so a budget shared with a fallback stage is not drained.
-  std::atomic<int64_t> stack_bytes{0};
-  // Raised only on abort: workers stop claiming nodes. A recorded
-  // leaf event does NOT stop the search — canonically earlier nodes
-  // must still be explored; the discard rule drains the rest.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> has_event{false};
-
-  std::mutex result_mu;
-  std::optional<LeafEvent> event;
-  std::optional<AbortState> abort;
+  int64_t nodes_explored = 0;
+  int64_t lp_pivots = 0;
+  bool cap_was_relevant = false;
 };
 
-// Keeps the canonically-first event (smallest order key).
-void RecordEvent(SearchContext& ctx, LeafEvent&& event) {
-  std::lock_guard<std::mutex> lock(ctx.result_mu);
-  if (!ctx.event.has_value() || event.order < ctx.event->order) {
-    ctx.event = std::move(event);
+// An aborted LP has no verdict: interpreting `feasible` would turn a
+// timeout into a spurious prune (and so a false kUnsat).
+std::optional<SearchStop> LpAbort(const SimplexResult& lp) {
+  if (lp.deadline_exceeded) {
+    trace::Count("solver/deadline_exceeded");
+    return SearchStop{.outcome = SolveOutcome::kDeadlineExceeded,
+                      .note = "deadline exceeded"};
   }
-  ctx.has_event.store(true, std::memory_order_release);
-}
-
-// Records the first abort and raises the stop flag. Returns false so
-// callers can `return RecordAbort(...)` from bool-returning paths.
-bool RecordAbort(SearchContext& ctx, SolveOutcome outcome, std::string note) {
-  {
-    std::lock_guard<std::mutex> lock(ctx.result_mu);
-    if (!ctx.abort.has_value()) {
-      ctx.abort = AbortState{outcome, std::move(note)};
-    }
+  if (lp.resource_exhausted) {
+    trace::Count("solver/resource_exhausted");
+    return SearchStop{.outcome = SolveOutcome::kResourceExhausted,
+                      .note = lp.note};
   }
-  ctx.stop.store(true, std::memory_order_release);
-  return false;
+  return std::nullopt;
 }
 
-// A node canonically after the recorded event cannot improve on it:
-// its whole subtree would come later in serial DFS preorder too.
-bool ShouldDiscard(SearchContext& ctx, const SearchNode& node) {
-  if (!ctx.has_event.load(std::memory_order_acquire)) return false;
-  std::lock_guard<std::mutex> lock(ctx.result_mu);
-  return ctx.event.has_value() && node.order > ctx.event->order;
-}
-
-// Expands one claimed node: LP relaxation, then prune / branch /
-// leaf. Children are appended in push order — under LIFO popping the
-// last-pushed child is explored first. Returns false when the search
-// must stop (an abort was recorded).
-bool ProcessNode(SearchContext& ctx, SearchNode&& node,
-                 std::vector<SearchNode>* children) {
+// Expands one node: LP relaxation, then prune / branch / leaf.
+// Children are appended in push order — under LIFO popping the
+// last-pushed child is explored first. Returns the stop when the node
+// is a definitive leaf or a limit fired.
+std::optional<SearchStop> ProcessNode(SearchContext& ctx, SearchNode&& node,
+                                      std::vector<SearchNode>* children) {
   // Each node does a full LP solve, so an unamortized clock read per
   // node is already cheap; the LP layer polls internally for long
   // pivot chains.
   if (ctx.options.deadline.Expired()) {
     trace::Count("solver/deadline_exceeded");
-    return RecordAbort(ctx, SolveOutcome::kDeadlineExceeded,
-                       "deadline exceeded");
+    return SearchStop{.outcome = SolveOutcome::kDeadlineExceeded,
+                      .note = "deadline exceeded"};
   }
-  int64_t prior = ctx.nodes_explored.fetch_add(1, std::memory_order_relaxed);
-  if (prior >= ctx.options.max_nodes) {
-    // Un-count the node we did not actually process.
-    ctx.nodes_explored.fetch_sub(1, std::memory_order_relaxed);
-    return RecordAbort(ctx, SolveOutcome::kUnknown, "node limit reached");
+  if (ctx.nodes_explored >= ctx.options.max_nodes) {
+    return SearchStop{.outcome = SolveOutcome::kUnknown,
+                      .note = "node limit reached"};
   }
+  ++ctx.nodes_explored;
   trace::Count("solver/nodes");
-  if (node.record != nullptr) CountExpansion(*node.record);
   trace::Max("solver/max_branch_depth",
              static_cast<int64_t>(node.extra.size()));
 
@@ -261,26 +152,14 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
     lp = SolveLp(ctx.search_vars, constraints, ctx.options.deadline,
                  &ctx.options.budget, ctx.simplex_options);
   }
-  ctx.lp_pivots.fetch_add(lp.pivots, std::memory_order_relaxed);
+  ctx.lp_pivots += lp.pivots;
   trace::Count("solver/lp_pivots", lp.pivots);
-  // An aborted LP has no verdict: interpreting `feasible` here would
-  // turn a timeout into a spurious prune (and so a false kUnsat).
-  if (lp.deadline_exceeded) {
-    trace::Count("solver/deadline_exceeded");
-    return RecordAbort(ctx, SolveOutcome::kDeadlineExceeded,
-                       "deadline exceeded");
-  }
-  if (lp.resource_exhausted) {
-    trace::Count("solver/resource_exhausted");
-    return RecordAbort(ctx, SolveOutcome::kResourceExhausted, lp.note);
-  }
+  if (std::optional<SearchStop> stop = LpAbort(lp)) return stop;
   if (!lp.feasible) {
     // Attribute the prune: if dropping the cap rows restores
     // feasibility, the cap mattered and an exhausted search cannot
-    // claim unsatisfiability. The flag only ever goes false -> true,
-    // and kUnsat requires a full drain, so every schedule converges
-    // to the same final value.
-    if (ctx.cap_active && !ctx.cap_was_relevant.load(std::memory_order_relaxed)) {
+    // claim unsatisfiability.
+    if (ctx.cap_active && !ctx.cap_was_relevant) {
       std::vector<LinearConstraint> uncapped(
           ctx.base.begin(), ctx.base.begin() + ctx.uncapped_size);
       uncapped.insert(uncapped.end(), node.extra.begin(), node.extra.end());
@@ -289,24 +168,13 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
       SimplexResult relaxed_lp =
           SolveLp(ctx.search_vars, uncapped, ctx.options.deadline,
                   &ctx.options.budget, probe_options);
-      ctx.lp_pivots.fetch_add(relaxed_lp.pivots, std::memory_order_relaxed);
+      ctx.lp_pivots += relaxed_lp.pivots;
       trace::Count("solver/lp_pivots", relaxed_lp.pivots);
       trace::Count("solver/cap_relevance_probes");
-      if (relaxed_lp.deadline_exceeded) {
-        trace::Count("solver/deadline_exceeded");
-        return RecordAbort(ctx, SolveOutcome::kDeadlineExceeded,
-                           "deadline exceeded");
-      }
-      if (relaxed_lp.resource_exhausted) {
-        trace::Count("solver/resource_exhausted");
-        return RecordAbort(ctx, SolveOutcome::kResourceExhausted,
-                           relaxed_lp.note);
-      }
-      if (relaxed_lp.feasible) {
-        ctx.cap_was_relevant.store(true, std::memory_order_relaxed);
-      }
+      if (std::optional<SearchStop> stop = LpAbort(relaxed_lp)) return stop;
+      if (relaxed_lp.feasible) ctx.cap_was_relevant = true;
     }
-    return true;
+    return std::nullopt;
   }
 
   // Branch on the first fractional coordinate.
@@ -320,26 +188,24 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
   if (fractional >= 0) {
     const Rational& value = lp.solution[fractional];
     // Child exploration-order convention (uniform across all three
-    // branch kinds, locked by SolverParallelTest.NodeOrderConvention):
-    // the >= / growth child is explored first — order bit 0 —
-    // because cardinality encodings usually need populated extents,
-    // so rounding up tends to reach SAT sooner. Under LIFO popping,
-    // first-explored means pushed last.
+    // branch kinds, locked by IlpSolverTest.*BranchExploresGrowthFirst):
+    // the >= / growth child is explored first, because cardinality
+    // encodings usually need populated extents, so rounding up tends
+    // to reach SAT sooner. Under LIFO popping, first-explored means
+    // pushed last.
     SearchNode low = node;
     low.extra.push_back(
         VarBound(fractional, Relation::kLe, value.Floor(), "branch<="));
     low.delta = 1;
-    low.order.push_back(1);
     low.warm = lp.warm_state;
     SearchNode high = std::move(node);
     high.extra.push_back(
         VarBound(fractional, Relation::kGe, value.Ceil(), "branch>="));
     high.delta = 1;
-    high.order.push_back(0);
     high.warm = lp.warm_state;
     children->push_back(std::move(low));
     children->push_back(std::move(high));
-    return true;
+    return std::nullopt;
   }
 
   // Integral candidate, mapped back onto the original variables when
@@ -375,7 +241,6 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
     zero.extra.push_back(VarBound(conditional.antecedent, Relation::kLe,
                                   BigInt(0), "cond-zero"));
     zero.delta = 1;
-    zero.order.push_back(1);
     zero.warm = lp.warm_state;
     SearchNode active = std::move(node);
     active.conditional_decided[violated_conditional] = true;
@@ -383,11 +248,10 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
                                     BigInt(1), "cond-active"));
     active.extra.push_back(conditional.consequent);
     active.delta = 2;
-    active.order.push_back(0);
     active.warm = lp.warm_state;
     children->push_back(std::move(zero));
     children->push_back(std::move(active));
-    return true;
+    return std::nullopt;
   }
 
   // Violated prequadratic x <= y*z? Spatial branch on y at its
@@ -418,17 +282,15 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
       low.extra.push_back(std::move(linearized));
     }
     low.delta = 2;
-    low.order.push_back(1);
     low.warm = lp.warm_state;
     SearchNode high = std::move(node);
     high.extra.push_back(
         VarBound(violated_pq->y, Relation::kGe, v + BigInt(1), "pq-y>v"));
     high.delta = 1;
-    high.order.push_back(0);
     high.warm = lp.warm_state;
     children->push_back(std::move(low));
     children->push_back(std::move(high));
-    return true;
+    return std::nullopt;
   }
 
   // All constraint classes satisfied by an integral point. When the
@@ -437,194 +299,68 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
   // reduction, and the legacy pipeline decides instead of us.
   if (ctx.presolve.has_value() && !ctx.program.IsSatisfied(candidate)) {
     trace::Count("solver/presolve_mapback_mismatch");
-    RecordEvent(ctx, LeafEvent{std::move(node.order), true, {},
-                               std::move(node.record)});
-    return true;
+    return SearchStop{.outcome = SolveOutcome::kUnknown, .legacy_rerun = true};
   }
-  RecordEvent(ctx, LeafEvent{std::move(node.order), false,
-                             std::move(candidate), std::move(node.record)});
-  return true;
+  return SearchStop{.outcome = SolveOutcome::kSat,
+                    .assignment = std::move(candidate)};
 }
 
-// Charges a node to the budget; on failure records the abort.
-bool ChargeNode(SearchContext& ctx, const SearchNode& node) {
-  int64_t bytes = ApproxNodeBytes(node);
-  Status status = ctx.options.budget.ChargeMemory(bytes, "solver/node");
-  if (!status.ok()) {
-    trace::Count("solver/resource_exhausted");
-    RecordAbort(ctx, SolveOutcome::kResourceExhausted,
-                std::string(status.message()));
-    return false;
-  }
-  ctx.stack_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  return true;
-}
+// The pending-node stack. Each node is charged to the memory budget
+// while it waits here; whatever is still charged when the stack goes
+// away (SAT found, any limit) is released then, so a budget shared
+// with a fallback stage, the legacy re-run included, is not drained.
+class NodeStack {
+ public:
+  explicit NodeStack(const ResourceBudget& budget) : budget_(budget) {}
+  NodeStack(const NodeStack&) = delete;
+  NodeStack& operator=(const NodeStack&) = delete;
+  ~NodeStack() { budget_.ReleaseMemory(charged_); }
 
-void ReleaseNode(SearchContext& ctx, const SearchNode& node) {
-  int64_t bytes = ApproxNodeBytes(node);
-  ctx.options.budget.ReleaseMemory(bytes);
-  ctx.stack_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-}
+  bool empty() const { return nodes_.empty(); }
 
-// ---------------------------------------------------------------------
-// Serial driver: jobs == 1. One LIFO stack, identical exploration
-// order to the historical loop. The discard rule doubles as the
-// early-return on SAT: in DFS preorder every pending node is
-// canonically after a recorded leaf, so the stack drains without
-// further LP work.
-void RunSerial(SearchContext& ctx, SearchNode&& root) {
-  std::vector<SearchNode> stack;
-  if (!ChargeNode(ctx, root)) return;
-  stack.push_back(std::move(root));
-  std::vector<SearchNode> children;
-  while (!stack.empty()) {
-    SearchNode node = std::move(stack.back());
-    stack.pop_back();
-    ReleaseNode(ctx, node);
-    if (ShouldDiscard(ctx, node)) {
-      trace::Count("solver/nodes_discarded");
-      continue;
+  std::optional<SearchStop> Push(SearchNode&& node) {
+    int64_t bytes = ApproxNodeBytes(node);
+    Status status = budget_.ChargeMemory(bytes, "solver/node");
+    if (!status.ok()) {
+      trace::Count("solver/resource_exhausted");
+      return SearchStop{.outcome = SolveOutcome::kResourceExhausted,
+                        .note = std::string(status.message())};
     }
+    charged_ += bytes;
+    nodes_.push_back(std::move(node));
+    return std::nullopt;
+  }
+
+  SearchNode Pop() {
+    SearchNode node = std::move(nodes_.back());
+    nodes_.pop_back();
+    int64_t bytes = ApproxNodeBytes(node);
+    budget_.ReleaseMemory(bytes);
+    charged_ -= bytes;
+    return node;
+  }
+
+ private:
+  const ResourceBudget& budget_;
+  std::vector<SearchNode> nodes_;
+  int64_t charged_ = 0;
+};
+
+// Depth-first branch and bound from `root`: returns at the first
+// definitive leaf in DFS preorder or the first limit, and nullopt once
+// the stack drains (every branch refuted).
+std::optional<SearchStop> Search(SearchContext& ctx, SearchNode&& root) {
+  NodeStack stack(ctx.options.budget);
+  std::optional<SearchStop> stop = stack.Push(std::move(root));
+  std::vector<SearchNode> children;
+  while (!stop.has_value() && !stack.empty()) {
     children.clear();
-    if (!ProcessNode(ctx, std::move(node), &children)) return;
-    for (SearchNode& child : children) {
-      if (!ChargeNode(ctx, child)) return;
-      stack.push_back(std::move(child));
+    stop = ProcessNode(ctx, stack.Pop(), &children);
+    for (size_t i = 0; i < children.size() && !stop.has_value(); ++i) {
+      stop = stack.Push(std::move(children[i]));
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Parallel driver: a work-stealing node pool. Each worker owns a
-// deque (own end popped LIFO, so a worker alone explores in serial
-// DFS order); idle workers steal from the front of a victim's deque,
-// taking the shallowest — largest — pending subtree. `pending` counts
-// nodes that are queued or being expanded; the search is drained when
-// it reaches zero.
-
-struct WorkerQueue {
-  std::mutex mu;
-  std::deque<SearchNode> nodes;
-};
-
-struct WorkPool {
-  explicit WorkPool(int jobs) : queues(jobs) {}
-  std::vector<WorkerQueue> queues;
-  std::atomic<int64_t> pending{0};
-  std::mutex wake_mu;
-  std::condition_variable wake_cv;
-};
-
-bool PushNode(SearchContext& ctx, WorkPool& pool, int target,
-              SearchNode&& node) {
-  if (!ChargeNode(ctx, node)) return false;
-  pool.pending.fetch_add(1, std::memory_order_acq_rel);
-  {
-    std::lock_guard<std::mutex> lock(pool.queues[target].mu);
-    pool.queues[target].nodes.push_back(std::move(node));
-  }
-  pool.wake_cv.notify_one();
-  return true;
-}
-
-std::optional<SearchNode> ClaimNode(WorkPool& pool, int self,
-                                    uint64_t* rotation) {
-  {
-    WorkerQueue& own = pool.queues[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.nodes.empty()) {
-      SearchNode node = std::move(own.nodes.back());
-      own.nodes.pop_back();
-      return node;
-    }
-  }
-  int n = static_cast<int>(pool.queues.size());
-  if (n > 1) {
-    // Seeded rotation spreads victim choice across workers; purely a
-    // scheduling heuristic — results never depend on who steals what.
-    *rotation = *rotation * 6364136223846793005ull + 1442695040888963407ull;
-    int start = static_cast<int>(*rotation % static_cast<uint64_t>(n));
-    for (int k = 0; k < n; ++k) {
-      int victim = (start + k) % n;
-      if (victim == self) continue;
-      WorkerQueue& queue = pool.queues[victim];
-      std::lock_guard<std::mutex> lock(queue.mu);
-      if (!queue.nodes.empty()) {
-        SearchNode node = std::move(queue.nodes.front());
-        queue.nodes.pop_front();
-        trace::Count("solver/steals");
-        return node;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-void WorkerLoop(SearchContext& ctx, WorkPool& pool, int self,
-                StatsRegistry* registry) {
-  // Join the parent's stats registry (thread-safe); sinks stay with
-  // the owning thread.
-  std::optional<TraceSession> session;
-  if (registry != nullptr) session.emplace(registry);
-  uint64_t rotation = (ctx.options.seed ^ 0x9E3779B97F4A7C15ull) +
-                      0x632BE59BD9B4E019ull * static_cast<uint64_t>(self + 1);
-  std::vector<SearchNode> children;
-  bool counted_idle = false;
-  while (!ctx.stop.load(std::memory_order_acquire)) {
-    std::optional<SearchNode> node = ClaimNode(pool, self, &rotation);
-    if (!node.has_value()) {
-      if (pool.pending.load(std::memory_order_acquire) == 0) break;
-      if (!counted_idle) {
-        trace::Count("solver/workers_idle");
-        counted_idle = true;
-      }
-      // Timed wait instead of a strict notify protocol: spurious and
-      // missed wakeups both resolve within the timeout, so drained /
-      // stopped states are always observed.
-      std::unique_lock<std::mutex> lock(pool.wake_mu);
-      pool.wake_cv.wait_for(lock, std::chrono::microseconds(200));
-      continue;
-    }
-    counted_idle = false;
-    ReleaseNode(ctx, *node);
-    bool ok = true;
-    if (ShouldDiscard(ctx, *node)) {
-      trace::Count("solver/nodes_discarded");
-    } else {
-      children.clear();
-      std::shared_ptr<NodeRecord> record = node->record;
-      ok = ProcessNode(ctx, std::move(*node), &children);
-      if (ok) {
-        for (SearchNode& child : children) {
-          child.record =
-              std::make_shared<NodeRecord>(record, child.order.back());
-          if (!PushNode(ctx, pool, self, std::move(child))) {
-            ok = false;
-            break;
-          }
-        }
-      }
-    }
-    pool.pending.fetch_sub(1, std::memory_order_acq_rel);
-    if (!ok) break;  // abort recorded; stop flag is up
-    if (pool.pending.load(std::memory_order_acquire) == 0) break;
-  }
-  pool.wake_cv.notify_all();
-}
-
-void RunParallel(SearchContext& ctx, SearchNode&& root, int jobs) {
-  WorkPool pool(jobs);
-  root.record = std::make_shared<NodeRecord>();
-  if (!PushNode(ctx, pool, 0, std::move(root))) return;
-  StatsRegistry* registry = trace::ActiveRegistry();
-  std::vector<std::thread> workers;
-  workers.reserve(jobs);
-  for (int worker = 0; worker < jobs; ++worker) {
-    workers.emplace_back([&ctx, &pool, worker, registry] {
-      WorkerLoop(ctx, pool, worker, registry);
-    });
-  }
-  for (std::thread& thread : workers) thread.join();
+  return stop;
 }
 
 }  // namespace
@@ -707,52 +443,26 @@ SolveResult IlpSolver::Solve(const IntegerProgram& program) const {
   SearchContext ctx{program,     options_,        base,
                     uncapped_size, search_vars,   presolve,
                     simplex_options, cap_active,  warm_enabled};
-  // Whatever is still charged when we return (SAT found, any limit)
-  // is released here so a budget shared with a fallback stage is not
-  // permanently drained.
-  struct StackRelease {
-    SearchContext& ctx;
-    ~StackRelease() {
-      ctx.options.budget.ReleaseMemory(
-          ctx.stack_bytes.load(std::memory_order_relaxed));
-    }
-  } stack_release{ctx};
-
   SearchNode root;
   root.conditional_decided.assign(program.conditionals().size(), false);
-  const int jobs = std::clamp(options_.jobs, 1, 64);
-  if (jobs <= 1) {
-    RunSerial(ctx, std::move(root));
-  } else {
-    RunParallel(ctx, std::move(root), jobs);
-  }
+  std::optional<SearchStop> stop = Search(ctx, std::move(root));
 
-  result.nodes_explored = ctx.nodes_explored.load(std::memory_order_relaxed);
-  result.lp_pivots = ctx.lp_pivots.load(std::memory_order_relaxed);
-  // A SAT leaf outranks a concurrent abort: the witness is valid
-  // regardless of which limit fired on another subtree. (With one
-  // worker the two are mutually exclusive, as before.)
-  if (ctx.event.has_value() && !ctx.event->legacy_rerun) {
-    result.outcome = SolveOutcome::kSat;
-    if (ctx.event->record != nullptr) {
-      result.nodes_explored -= ExpandedAfter(*ctx.event->record);
-    }
-    result.assignment = std::move(ctx.event->assignment);
-    return result;
-  }
-  if (ctx.abort.has_value()) {
-    result.outcome = ctx.abort->outcome;
-    result.note = std::move(ctx.abort->note);
-    return result;
-  }
-  if (ctx.event.has_value()) {
-    // Presolve mapback mismatch on the canonical leaf: the reduction
-    // is suspect, and the legacy pipeline decides instead of us.
+  result.nodes_explored = ctx.nodes_explored;
+  result.lp_pivots = ctx.lp_pivots;
+  if (stop.has_value() && stop->legacy_rerun) {
+    // Presolve mapback mismatch on the first leaf: the reduction is
+    // suspect, and the legacy pipeline decides instead of us.
     SolverOptions legacy = options_;
     legacy.use_presolve = false;
     return IlpSolver(legacy).Solve(program);
   }
-  if (cap_active && ctx.cap_was_relevant.load(std::memory_order_relaxed)) {
+  if (stop.has_value()) {
+    result.outcome = stop->outcome;
+    result.note = std::move(stop->note);
+    result.assignment = std::move(stop->assignment);
+    return result;
+  }
+  if (cap_active && ctx.cap_was_relevant) {
     result.outcome = SolveOutcome::kUnknown;
     result.note = "search exhausted under variable cap " +
                   options_.variable_cap->ToString();

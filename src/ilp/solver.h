@@ -37,10 +37,9 @@ enum class SolveOutcome {
 struct SolveResult {
   SolveOutcome outcome = SolveOutcome::kUnknown;
   std::vector<BigInt> assignment;  // kSat only
-  /// Branch-and-bound nodes expanded. With jobs > 1 a kSat result
-  /// leaves out speculative expansions canonically after the winning
-  /// leaf, so on limit-free runs the count equals the serial search's
-  /// at any job count. lp_pivots still includes their work.
+  /// Branch-and-bound nodes expanded, each with one LP relaxation.
+  /// The search stops at the first definitive leaf, which is the last
+  /// node counted; a node-limit stop reports exactly max_nodes.
   int64_t nodes_explored = 0;
   int64_t lp_pivots = 0;
   std::string note;
@@ -83,26 +82,15 @@ struct SolverOptions {
   /// between siblings and bounded by the branch depth; they are
   /// charged to the budget transiently during each re-solve.
   bool warm_start = true;
-  /// Worker threads exploring branch-and-bound subtrees within a
-  /// single Solve call, as a work-stealing node pool. 1 (default)
-  /// keeps the serial loop. Verdicts are deterministic at any job
-  /// count on limit-free runs: every node carries a canonical
-  /// exploration-order key (its branch path; lexicographic order is
-  /// exactly serial DFS preorder) and the canonically-first definitive
-  /// leaf wins, so kSat witnesses and node counts are identical to
-  /// the serial search's. Which non-verdict limit (deadline / node /
-  /// memory) fires first may vary with scheduling, as it already does
-  /// across machines.
-  int jobs = 1;
-  /// Seed for the steal-victim rotation. Scheduling diversification
-  /// only; never affects the result (see `jobs`).
-  uint64_t seed = 0;
 };
 
 class IlpSolver {
  public:
   explicit IlpSolver(SolverOptions options = {}) : options_(options) {}
 
+  /// Depth-first branch and bound on one stack, the growth (>=) child
+  /// first. Returns at the first definitive leaf in DFS preorder;
+  /// kUnsat only once every branch is refuted.
   SolveResult Solve(const IntegerProgram& program) const;
 
   /// Repeatedly solves with caps initial_cap, initial_cap^2, ... up to

@@ -105,13 +105,6 @@ void MaxSlow(std::string_view counter, int64_t value);
 /// True while a TraceSession is installed on this thread.
 inline bool Enabled() { return internal::tls_state.registry != nullptr; }
 
-/// The registry installed on this thread (nullptr when tracing is
-/// disabled). Lets a procedure that spawns worker threads hand them
-/// its trace target: each worker opens its own TraceSession on the
-/// returned registry (StatsRegistry is thread-safe; sinks are not and
-/// must stay with the owning thread).
-inline StatsRegistry* ActiveRegistry() { return internal::tls_state.registry; }
-
 /// Adds `delta` to a named monotonic counter, if tracing is enabled.
 inline void Count(std::string_view counter, int64_t delta = 1) {
   if (Enabled()) internal::CountSlow(counter, delta);

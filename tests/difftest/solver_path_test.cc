@@ -22,20 +22,6 @@ TEST(SolverPathTest, FastAndLegacyPipelinesAgreeAcrossSweep) {
   EXPECT_GT(report.specs, 0);
 }
 
-TEST(SolverPathTest, ParallelSolverAgreesWithSerialAcrossSweep) {
-  // The --solver-jobs cross-pipeline mode: every cell runs the exact
-  // procedures once serial and once on the parallel branch-and-bound
-  // pool, and any definitive verdict that differs is a disagreement.
-  DifftestOptions options;
-  options.num_seeds = 20;
-  options.jobs = 2;
-  options.solver_jobs = 4;
-  options.shrink = false;
-  DifftestReport report = RunDifftest(options);
-  EXPECT_TRUE(report.agreed()) << report.Summary();
-  EXPECT_GT(report.specs, 0);
-}
-
 TEST(SolverPathTest, LegacyModeStillSweepsCleanly) {
   DifftestOptions options;
   options.num_seeds = 10;

@@ -262,14 +262,15 @@ TEST(IlpSolverTest, BigCoefficientBranchRowsChargeTheirRealFootprint) {
   EXPECT_EQ(big.outcome, SolveOutcome::kResourceExhausted) << big.note;
 }
 
-TEST(IlpSolverTest, NodeLimitYieldsUnknown) {
+// A thin integer-infeasible strip that evades the per-row gcd test
+// and is rationally unbounded: x + y = 2z + 1 together with x = y
+// forces 2x = 2z + 1. Branch and bound cannot close it without a
+// bound: every level of the search leaves a sibling pending until a
+// limit fires.
+IntegerProgram ThinStripProgram() {
   IntegerProgram program;
   VarId x = program.NewVariable("x");
   VarId y = program.NewVariable("y");
-  // A thin integer-infeasible strip that evades the per-row gcd test
-  // and is rationally unbounded: x + y = 2z + 1 together with x = y
-  // forces 2x = 2z + 1. Branch and bound cannot close it without a
-  // bound, so the node limit must kick in.
   VarId z = program.NewVariable("z");
   LinearExpr strip;
   strip.Add(x, BigInt(1)).Add(y, BigInt(1)).Add(z, BigInt(-2));
@@ -277,10 +278,137 @@ TEST(IlpSolverTest, NodeLimitYieldsUnknown) {
   LinearExpr diag;
   diag.Add(x, BigInt(1)).Add(y, BigInt(-1));
   program.AddLinear(std::move(diag), Relation::kEq, BigInt(0));
+  return program;
+}
+
+TEST(IlpSolverTest, NodeLimitYieldsUnknown) {
   SolverOptions options;
   options.max_nodes = 10;
-  SolveResult result = IlpSolver(options).Solve(program);
+  SolveResult result = IlpSolver(options).Solve(ThinStripProgram());
   EXPECT_EQ(result.outcome, SolveOutcome::kUnknown);
+  EXPECT_EQ(result.nodes_explored, options.max_nodes);
+}
+
+// { 2x >= 1, x + y >= 2 }: with presolve off the root vertex is
+// (1/2, 3/2). Branching on x, the <= child (x <= 0) contradicts
+// 2x >= 1 outright, while the >= child (x >= 1) solves integrally at
+// (1, 1), with the <= child still pending on the stack.
+IntegerProgram HalfIntegralRootProgram() {
+  IntegerProgram program;
+  VarId x = program.NewVariable("x");
+  VarId y = program.NewVariable("y");
+  LinearExpr half;
+  half.Add(x, BigInt(2));
+  program.AddLinear(std::move(half), Relation::kGe, BigInt(1));
+  LinearExpr sum;
+  sum.Add(x, BigInt(1)).Add(y, BigInt(1));
+  program.AddLinear(std::move(sum), Relation::kGe, BigInt(2));
+  return program;
+}
+
+// x pinned to 1/2 (2x >= 1 and 2x <= 1): both children of the root
+// are LP-infeasible.
+IntegerProgram ForcedUnsatProgram() {
+  IntegerProgram program;
+  VarId x = program.NewVariable("x");
+  LinearExpr ge;
+  ge.Add(x, BigInt(2));
+  program.AddLinear(std::move(ge), Relation::kGe, BigInt(1));
+  LinearExpr le;
+  le.Add(x, BigInt(2));
+  program.AddLinear(std::move(le), Relation::kLe, BigInt(1));
+  return program;
+}
+
+// Child exploration order: the >= / growth child is explored first,
+// for all three branch kinds. Exploring >= first reaches SAT at node
+// 2 and returns; the historical <=-first order would process the
+// infeasible child too, making 3 nodes.
+TEST(IlpSolverTest, FractionalBranchExploresGrowthFirst) {
+  SolverOptions options;
+  options.use_presolve = false;
+  SolveResult result = IlpSolver(options).Solve(HalfIntegralRootProgram());
+  ASSERT_EQ(result.outcome, SolveOutcome::kSat);
+  EXPECT_EQ(result.assignment[0], BigInt(1));
+  EXPECT_EQ(result.assignment[1], BigInt(1));
+  EXPECT_EQ(result.nodes_explored, 2);
+}
+
+// The same order for the prequadratic branch, which historically
+// explored the <= child first. The root candidate is (x=6, y=0, z=0)
+// with x <= y*z violated; the <= child pins y <= 0 and linearizes to
+// x <= 0, contradicting x = 6, while the >= child (y >= 1) solves to
+// a pq-satisfying integral vertex immediately.
+TEST(IlpSolverTest, PrequadraticBranchExploresGrowthFirst) {
+  IntegerProgram program;
+  VarId x = program.NewVariable("x");
+  VarId y = program.NewVariable("y");
+  VarId z = program.NewVariable("z");
+  LinearExpr xe;
+  xe.Add(x, BigInt(1));
+  program.AddLinear(std::move(xe), Relation::kEq, BigInt(6));
+  program.AddPrequadratic(x, y, z);
+  LinearExpr sum;
+  sum.Add(y, BigInt(1)).Add(z, BigInt(1));
+  program.AddLinear(std::move(sum), Relation::kLe, BigInt(7));
+
+  SolverOptions options;
+  options.variable_cap = BigInt(16);
+  SolveResult result = IlpSolver(options).Solve(program);
+  ASSERT_EQ(result.outcome, SolveOutcome::kSat);
+  EXPECT_TRUE(program.IsSatisfied(result.assignment));
+  EXPECT_EQ(result.nodes_explored, 2);
+}
+
+// kUnsat needs a full drain: root plus both children. Presolve is off:
+// it would refute the fractional fixpoint before any search.
+TEST(IlpSolverTest, ForcedUnsatTreeExploresThreeNodes) {
+  SolverOptions options;
+  options.use_presolve = false;
+  SolveResult result = IlpSolver(options).Solve(ForcedUnsatProgram());
+  ASSERT_EQ(result.outcome, SolveOutcome::kUnsat);
+  EXPECT_EQ(result.nodes_explored, 3);
+}
+
+// Pending search nodes are charged to the memory budget, and Solve
+// must hand a shared budget back as it found it whatever the outcome,
+// also when it returns with nodes still on the stack. The budget
+// starts 1,000 bytes charged, so a release of more than Solve charged
+// (which clamps at zero) shows as well.
+TEST(IlpSolverTest, SolveReturnsTheMemoryBudgetAsItFoundIt) {
+  constexpr int64_t kPrecharged = 1000;
+  // A fresh budget per solve, with the caller's memory limit.
+  auto solve = [&](const IntegerProgram& program, SolverOptions options) {
+    ResourceBudget budget;
+    budget.set_memory_limit_bytes(options.budget.memory_limit_bytes());
+    EXPECT_TRUE(budget.ChargeMemory(kPrecharged, "test").ok());
+    options.budget = budget;
+    SolveResult result = IlpSolver(options).Solve(program);
+    EXPECT_EQ(budget.memory_used(), kPrecharged) << result.note;
+    return result;
+  };
+  SolverOptions no_presolve;
+  no_presolve.use_presolve = false;
+
+  // kSat at node 2, with the <= sibling still on the stack.
+  SolveResult sat = solve(HalfIntegralRootProgram(), no_presolve);
+  EXPECT_EQ(sat.outcome, SolveOutcome::kSat);
+  EXPECT_EQ(sat.nodes_explored, 2);
+
+  SolveResult unsat = solve(ForcedUnsatProgram(), no_presolve);
+  EXPECT_EQ(unsat.outcome, SolveOutcome::kUnsat);
+
+  SolverOptions node_limited;
+  node_limited.max_nodes = 10;
+  SolveResult unknown = solve(ThinStripProgram(), node_limited);
+  EXPECT_EQ(unknown.outcome, SolveOutcome::kUnknown);
+  EXPECT_EQ(unknown.nodes_explored, 10);
+
+  SolverOptions memory_limited;
+  memory_limited.budget.set_memory_limit_bytes(kPrecharged + 16 * 1024);
+  SolveResult exhausted = solve(ThinStripProgram(), memory_limited);
+  EXPECT_EQ(exhausted.outcome, SolveOutcome::kResourceExhausted);
+  EXPECT_GT(exhausted.nodes_explored, 2);
 }
 
 TEST(IlpSolverTest, BigCoefficientsStayExact) {
