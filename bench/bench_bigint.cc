@@ -2,10 +2,10 @@
 // (base/bigint.cc): multiply, divmod, and gcd families across limb
 // sizes, each measured twice on identical operands — once with the
 // production kernels (64-bit word schoolbook + Karatsuba, Knuth
-// Algorithm D, Stein GCD) and once with the compiled-in schoolbook
-// reference suite behind BigInt::ForceReferenceKernels. Results are
-// asserted equal before timing counts, so the ratio can never come
-// from a wrong answer.
+// Algorithm D, Stein GCD) and once with the schoolbook reference
+// functions of base/bigint_reference.h. Results are asserted equal
+// before timing counts, so the ratio can never come from a wrong
+// answer.
 //
 // Prints a per-family table and writes BENCH_bigint.json (--out=PATH
 // to override). Exits non-zero when a gate fails: >= 3x on the
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "base/bigint.h"
+#include "base/bigint_reference.h"
 
 namespace xmlverify {
 namespace {
@@ -80,11 +81,16 @@ struct Family {
   double gate = 0;        // 0 = informational only
 };
 
-// Times `op` under the current kernel selection: splits `reps` into a
-// few timed blocks and returns the minimum per-run mean. The workload
-// is deterministic, so the minimum is the noise-robust estimator on a
-// shared machine — interference can only inflate a block, never
-// deflate it.
+// One operation on fixed operands, computed by both kernel suites.
+struct PairedOp {
+  std::function<BigInt()> fast;
+  std::function<BigInt()> reference;
+};
+
+// Times `op`: splits `reps` into a few timed blocks and returns the
+// minimum per-run mean. The workload is deterministic, so the minimum
+// is the noise-robust estimator on a shared machine — interference
+// can only inflate a block, never deflate it.
 double TimeOp(const std::function<void()>& op, int reps) {
   op();  // warm-up (first-touch allocations)
   constexpr int kBlocks = 5;
@@ -102,34 +108,30 @@ double TimeOp(const std::function<void()>& op, int reps) {
 // Measures one family: checks fast == reference on every operand pair,
 // then times both suites on the identical workload.
 Family MeasureFamily(const std::string& name, size_t limbs, double gate,
-                     const std::vector<std::function<BigInt()>>& ops,
-                     int fast_reps, int ref_reps) {
+                     const std::vector<PairedOp>& ops, int fast_reps,
+                     int ref_reps) {
   Family family;
   family.name = name;
   family.limbs = limbs;
   family.gate = gate;
   // Correctness pairing first: the ratio is meaningless if the suites
   // disagree, so disagreement is fatal.
-  std::vector<BigInt> fast_results;
-  for (const auto& op : ops) fast_results.push_back(op());
-  BigInt::ForceReferenceKernels(true);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i]() != fast_results[i]) {
-      BigInt::ForceReferenceKernels(false);
+  for (const PairedOp& op : ops) {
+    if (op.fast() != op.reference()) {
       std::fprintf(stderr, "%s: fast and reference kernels disagree\n",
                    name.c_str());
       std::exit(1);
     }
   }
-  BigInt::ForceReferenceKernels(false);
 
-  auto run_all = [&ops] {
-    for (const auto& op : ops) op();
+  auto run_fast = [&ops] {
+    for (const PairedOp& op : ops) op.fast();
   };
-  family.fast_us = TimeOp(run_all, fast_reps) / ops.size();
-  BigInt::ForceReferenceKernels(true);
-  family.ref_us = TimeOp(run_all, ref_reps) / ops.size();
-  BigInt::ForceReferenceKernels(false);
+  auto run_reference = [&ops] {
+    for (const PairedOp& op : ops) op.reference();
+  };
+  family.fast_us = TimeOp(run_fast, fast_reps) / ops.size();
+  family.ref_us = TimeOp(run_reference, ref_reps) / ops.size();
   family.speedup = family.fast_us > 0 ? family.ref_us / family.fast_us
                                       : family.ref_us / 0.001;
   return family;
@@ -141,11 +143,12 @@ int Run(const BenchConfig& config) {
 
   // --- multiply: n-limb x n-limb ------------------------------------
   for (size_t limbs : {8u, 16u, 32u, 64u, 128u, 256u}) {
-    std::vector<std::function<BigInt()>> ops;
+    std::vector<PairedOp> ops;
     for (int pair = 0; pair < 4; ++pair) {
       BigInt a = RandomMagnitude(&rng, limbs);
       BigInt b = RandomMagnitude(&rng, limbs);
-      ops.push_back([a, b] { return a * b; });
+      ops.push_back({[a, b] { return a * b; },
+                     [a, b] { return BigIntReference::Multiply(a, b); }});
     }
     // Reference cost ~ limbs^2 32-bit mults; keep the total bounded.
     int reps = std::max(1, config.budget / static_cast<int>(limbs * limbs));
@@ -156,17 +159,25 @@ int Run(const BenchConfig& config) {
 
   // --- divmod: 2n-limb dividend / n-limb divisor --------------------
   for (size_t limbs : {16u, 32u, 64u, 128u}) {
-    std::vector<std::function<BigInt()>> ops;
+    std::vector<PairedOp> ops;
     for (int pair = 0; pair < 4; ++pair) {
       BigInt a = RandomMagnitude(&rng, limbs);
       BigInt b = RandomMagnitude(&rng, limbs / 2);
       // Fold quotient and remainder into one checkable value.
-      ops.push_back([a, b] {
-        BigInt q;
-        BigInt r;
-        if (!a.DivMod(b, &q, &r).ok()) return BigInt(0);
-        return q.ShlBits(1) += r;
-      });
+      ops.push_back({[a, b] {
+                       BigInt q;
+                       BigInt r;
+                       if (!a.DivMod(b, &q, &r).ok()) return BigInt(0);
+                       return q.ShlBits(1) += r;
+                     },
+                     [a, b] {
+                       BigInt q;
+                       BigInt r;
+                       if (!BigIntReference::DivMod(a, b, &q, &r).ok()) {
+                         return BigInt(0);
+                       }
+                       return q.ShlBits(1) += r;
+                     }});
     }
     // The reference is binary long division: ~bits iterations over
     // ~limbs-sized magnitudes.
@@ -179,12 +190,13 @@ int Run(const BenchConfig& config) {
 
   // --- gcd: n-limb operands sharing an n/2-limb factor --------------
   for (size_t limbs : {8u, 16u, 32u}) {
-    std::vector<std::function<BigInt()>> ops;
+    std::vector<PairedOp> ops;
     for (int pair = 0; pair < 2; ++pair) {
       BigInt g = RandomMagnitude(&rng, limbs / 2);
       BigInt a = g * RandomMagnitude(&rng, limbs - limbs / 2);
       BigInt b = g * RandomMagnitude(&rng, limbs - limbs / 2);
-      ops.push_back([a, b] { return BigInt::Gcd(a, b); });
+      ops.push_back({[a, b] { return BigInt::Gcd(a, b); },
+                     [a, b] { return BigIntReference::Gcd(a, b); }});
     }
     // Euclid-via-long-division reference: ~bits iterations, each a
     // full binary division — the steepest reference cost here.

@@ -1,15 +1,17 @@
 // Substrate benchmark: the exact integer solver (rational simplex +
 // branch and bound) that underlies every consistency verdict. Not a
 // paper figure — it calibrates where encoder-level costs end and
-// solver-level costs begin, and tracks the solver fast path against
-// the legacy reference pipeline (see docs/performance.md):
-//   * fast   — presolve + sparse two-tier (int64/BigInt) simplex,
-//              dual-simplex warm starts (the default pipeline)
-//   * legacy — no presolve, dense BigInt tableau, cold re-solves
-// The branch-and-bound ablation isolates the warm-start layer
-// (ColdStart = fast minus warm starts). BENCH_solver.json records the
-// before/after numbers; the gated warm-vs-cold comparison lives in
-// bench_warm_start.
+// solver-level costs begin, and tracks the solver's fast mechanisms
+// against their references (see docs/performance.md):
+//   * LP level:  the sparse two-tier (int64/BigInt) tableau (Fast)
+//                against the dense BigInt tableau (Legacy,
+//                SolveLpDense)
+//   * B&B level: presolve + dual-simplex warm starts (Fast) against
+//                no presolve and cold re-solves (Legacy, the difftest
+//                `reference` configuration)
+// The branch-and-bound ablations isolate each layer (NoPresolve =
+// Fast minus presolve, ColdStart = Fast minus warm starts); the gated
+// warm-vs-cold comparison lives in bench_warm_start.
 #include <benchmark/benchmark.h>
 
 #include "base/bigint.h"
@@ -22,7 +24,7 @@ namespace {
 SolverOptions PipelineOptions(bool fast) {
   SolverOptions options;
   options.use_presolve = fast;
-  options.use_sparse_simplex = fast;
+  options.warm_start = fast;
   return options;
 }
 
@@ -60,15 +62,15 @@ std::vector<LinearConstraint> BandLp(int n) {
   return constraints;
 }
 
+// Times one engine: SolveLp (the sparse tableau) or SolveLpDense.
 void SimplexBench(benchmark::State& state,
                   std::vector<LinearConstraint> (*make)(int), bool sparse) {
   const int n = static_cast<int>(state.range(0));
   std::vector<LinearConstraint> constraints = make(n);
-  SimplexOptions options{sparse};
   int64_t pivots = 0;
   for (auto _ : state) {
     SimplexResult result =
-        SolveLp(n, constraints, Deadline(), nullptr, options);
+        sparse ? SolveLp(n, constraints) : SolveLpDense(n, constraints);
     benchmark::DoNotOptimize(result.feasible);
     pivots = result.pivots;
   }
@@ -137,12 +139,11 @@ void BM_BranchAndBound_Fast(benchmark::State& state) {
 void BM_BranchAndBound_Legacy(benchmark::State& state) {
   BranchAndBoundBench(state, PipelineOptions(/*fast=*/false));
 }
-// Ablation: sparse simplex without presolve isolates each layer's
-// contribution.
-void BM_BranchAndBound_SparseNoPresolve(benchmark::State& state) {
+// Ablation: the fast pipeline without presolve (warm starts kept)
+// isolates the presolve layer's contribution.
+void BM_BranchAndBound_NoPresolve(benchmark::State& state) {
   SolverOptions options;
   options.use_presolve = false;
-  options.use_sparse_simplex = true;
   BranchAndBoundBench(state, options);
 }
 BENCHMARK(BM_BranchAndBound_Fast)
@@ -159,7 +160,7 @@ void BM_BranchAndBound_ColdStart(benchmark::State& state) {
   options.warm_start = false;
   BranchAndBoundBench(state, options);
 }
-BENCHMARK(BM_BranchAndBound_SparseNoPresolve)
+BENCHMARK(BM_BranchAndBound_NoPresolve)
     ->Arg(6)->Arg(10)->Arg(14)->Arg(18)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BranchAndBound_ColdStart)
@@ -169,11 +170,9 @@ BENCHMARK(BM_BranchAndBound_ColdStart)
 // Coefficient growth: a small system scaled by 10^k plus a chained
 // tail whose pivots keep remixing the scaled coefficients. Small
 // scales sit in the int64 tier; large scales force promotion to BigInt
-// cells, so the fast/legacy gap narrows as digits grow and the
-// arithmetic-kernel ablation below widens instead (hundreds of digits
-// is where Karatsuba/Knuth-D/Stein carry the verdict).
-void BigCoefficientsBench(benchmark::State& state, SolverOptions options,
-                          bool reference_kernels = false) {
+// cells, so the fast/legacy gap narrows as digits grow (hundreds of
+// digits is where Karatsuba/Knuth-D/Stein carry the verdict).
+void BigCoefficientsBench(benchmark::State& state, SolverOptions options) {
   const int scale_digits = static_cast<int>(state.range(0));
   BigInt scale = BigInt::Pow(BigInt(10), scale_digits);
   IntegerProgram program;
@@ -197,22 +196,10 @@ void BigCoefficientsBench(benchmark::State& state, SolverOptions options,
     row.Add(tail[v + 1], BigInt(2 * v + 5) * scale - BigInt(v + 2));
     program.AddLinear(std::move(row), Relation::kGe, BigInt(v + 1) * scale);
   }
-  // Verdict identity across kernel suites is asserted before timing:
-  // an ablation speedup from a wrong answer would be meaningless.
-  SolveResult fast_result = IlpSolver(options).Solve(program);
-  BigInt::ForceReferenceKernels(true);
-  SolveResult ref_result = IlpSolver(options).Solve(program);
-  BigInt::ForceReferenceKernels(false);
-  if (fast_result.outcome != ref_result.outcome) {
-    state.SkipWithError("fast and reference kernels disagree on verdict");
-    return;
-  }
-  BigInt::ForceReferenceKernels(reference_kernels);
   for (auto _ : state) {
     SolveResult result = IlpSolver(options).Solve(program);
     benchmark::DoNotOptimize(result.outcome);
   }
-  BigInt::ForceReferenceKernels(false);
 }
 
 void BM_BigCoefficients_Fast(benchmark::State& state) {
@@ -221,21 +208,10 @@ void BM_BigCoefficients_Fast(benchmark::State& state) {
 void BM_BigCoefficients_Legacy(benchmark::State& state) {
   BigCoefficientsBench(state, PipelineOptions(/*fast=*/false));
 }
-// Ablation: the fast pipeline with the schoolbook reference arithmetic
-// forced on (BigInt::ForceReferenceKernels) — the gap to Fast is what
-// the sub-quadratic BigInt kernels contribute end to end at identical
-// verdicts.
-void BM_BigCoefficients_ReferenceArithmetic(benchmark::State& state) {
-  BigCoefficientsBench(state, PipelineOptions(/*fast=*/true),
-                       /*reference_kernels=*/true);
-}
 BENCHMARK(BM_BigCoefficients_Fast)
     ->Arg(0)->Arg(10)->Arg(30)->Arg(60)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BigCoefficients_Legacy)
-    ->Arg(0)->Arg(10)->Arg(30)->Arg(60)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BigCoefficients_ReferenceArithmetic)
     ->Arg(0)->Arg(10)->Arg(30)->Arg(60)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMicrosecond);
 

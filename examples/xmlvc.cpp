@@ -20,7 +20,8 @@
 //
 // Flags, accepted anywhere on the command line (see
 // docs/observability.md for the report schema and docs/robustness.md
-// for budgets, the degradation ladder, and fault injection):
+// for budgets, the degradation ladder, and fault injection); any other
+// argument starting with "--" is rejected with exit code 2:
 //   --jobs=N          batch worker threads (default: hardware threads)
 //   --timeout=MS      per-check wall-clock budget in milliseconds;
 //                     an expired check reports DEADLINE_EXCEEDED
@@ -422,6 +423,13 @@ int main(int argc, char** argv) {
     } else if (StartsWith(arg, "--trace=")) {
       std::fprintf(stderr, "error: unknown trace format '%s' "
                    "(expected --trace=text or --trace=json)\n", arg.c_str());
+      return 2;
+    } else if (arg == "--witness") {
+      // A command flag whose value follows it; RunCommand reads both.
+      args.push_back(argv[i]);
+      if (i + 1 < argc) args.push_back(argv[++i]);
+    } else if (StartsWith(arg, "--")) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       return 2;
     } else {
       args.push_back(argv[i]);

@@ -1,8 +1,9 @@
 // xmlvc-difftest: differential self-tester for the consistency
 // checkers. Generates seeded random specifications per constraint
-// class, runs every applicable decision procedure on each, and
-// reports any disagreement together with a delta-debugged minimal
-// reproducer (see docs/testing.md).
+// class, runs every applicable decision procedure on each (including
+// the facade on the reference solver configuration: no presolve, cold
+// LP re-solves), and reports any disagreement together with a
+// delta-debugged minimal reproducer (see docs/testing.md).
 //
 //   xmlvc-difftest [flags]
 //
@@ -12,13 +13,10 @@
 //                   be replayed alone with --seed=S --seeds=1
 //   --classes=a,b   comma-separated class list: ack, acfk, pkfk,
 //                   reg, hrc (default: all)
-//   --jobs=N        worker threads (default: hardware threads)
+//   --jobs=N        worker threads (default 1)
 //   --shrink / --no-shrink
 //                   minimize disagreeing specs (default on)
-//   --solver=MODE   fast (presolve + sparse two-tier simplex,
-//                   default), legacy (reference dense pipeline), or
-//                   both (run the two pipelines per cell and report
-//                   any definitive verdict that differs)
+//   --impl          also cross-check the implication engine
 //   --timeout=MS    per-procedure wall-clock budget in milliseconds
 //   --stats         print a JSON phase/counter report to stdout
 //
@@ -51,7 +49,6 @@ int Usage() {
                "  --jobs=N       worker threads\n"
                "  --shrink / --no-shrink\n"
                "                 minimize disagreeing specs (default on)\n"
-               "  --solver=MODE  fast (default), legacy, or both\n"
                "  --impl         also cross-check the implication engine\n"
                "                 (quick tier vs full encoding vs brute\n"
                "                 force) on every generated spec\n"
@@ -110,19 +107,6 @@ int main(int argc, char** argv) {
       options.shrink = true;
     } else if (arg == "--no-shrink") {
       options.shrink = false;
-    } else if (StartsWith(arg, "--solver=")) {
-      std::string mode = arg.substr(9);
-      if (mode == "fast") {
-        options.solver_path = SolverPath::kFast;
-      } else if (mode == "legacy") {
-        options.solver_path = SolverPath::kLegacy;
-      } else if (mode == "both") {
-        options.solver_path = SolverPath::kBoth;
-      } else {
-        std::fprintf(stderr,
-                     "error: --solver expects fast, legacy, or both\n");
-        return 2;
-      }
     } else if (StartsWith(arg, "--timeout=")) {
       options.oracle.timeout_millis = std::atoll(arg.c_str() + 10);
       if (options.oracle.timeout_millis <= 0) {
@@ -134,7 +118,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       stats = true;
     } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       return Usage();
     }
   }

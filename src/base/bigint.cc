@@ -1,11 +1,9 @@
 #include "base/bigint.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <vector>
 
@@ -20,46 +18,21 @@ constexpr uint64_t kLimbBase = uint64_t{1} << 32;
 using Limbs = internal_bigint::LimbVector;
 
 // ---------------------------------------------------------------------
-// Kernel selection.
+// Kernels.
 //
 // Magnitudes above two limbs are processed as little-endian vectors of
 // 64-bit words (two limbs per word): half the inner-loop iterations of
 // the 32-bit schoolbook loops, with __int128 intermediates. Word
 // counts at or above kKaratsubaWords additionally take the Karatsuba
-// balanced-split recursion. The pre-existing 32-bit schoolbook
-// multiply, binary long division, and Euclid GCD stay compiled in as a
-// differential reference, selected process-wide by the flag below
-// (BigInt::ForceReferenceKernels / XMLVERIFY_BIGINT_REFERENCE), so
-// difftest can assert byte-identical verdicts between kernel suites.
+// balanced-split recursion. The 32-bit schoolbook multiply, binary
+// long division and Euclid GCD that these replaced live on in
+// base/bigint_reference.cc, as the reference the tests and
+// bench_bigint compare against.
 
 // Tuned with bench_bigint on the container this repo builds in: below
 // ~20 words the recursion's extra adds and scratch traffic cost more
 // than the saved multiplies.
 constexpr size_t kKaratsubaWords = 20;
-
-bool ReferenceKernelsFromEnv() {
-  const char* env = std::getenv("XMLVERIFY_BIGINT_REFERENCE");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-std::atomic<bool> g_reference_kernels{ReferenceKernelsFromEnv()};
-
-bool UseReferenceKernels() {
-  return g_reference_kernels.load(std::memory_order_relaxed);
-}
-
-// Shifts a magnitude left by `bits` (< 32) bit positions, in place.
-void ShiftLeftSmall(Limbs* limbs, unsigned bits) {
-  if (bits == 0 || limbs->empty()) return;
-  uint32_t carry = 0;
-  for (uint32_t& limb : *limbs) {
-    uint64_t shifted = (uint64_t{limb} << bits) | carry;
-    limb = static_cast<uint32_t>(shifted);
-    carry = static_cast<uint32_t>(shifted >> 32);
-  }
-  if (carry != 0) limbs->push_back(carry);
-}
 
 uint64_t NativeGcd(uint64_t a, uint64_t b) {
   while (b != 0) {
@@ -407,31 +380,6 @@ void KnuthDivModImpl(const Limbs& u_limbs, const Limbs& v_limbs, Limbs* q_out,
   if (q_out != nullptr) WordsToLimbs(q.data(), q.size(), q_out);
 }
 
-// Reference magnitude multiply: the pre-Karatsuba 32-bit schoolbook
-// double loop, kept verbatim for differential runs.
-Limbs MulMagnitudeReference(const Limbs& a, const Limbs& b) {
-  Limbs result;
-  result.reserve(a.size() + b.size());
-  result.assign(a.size() + b.size(), 0);
-  for (size_t i = 0; i < a.size(); ++i) {
-    uint64_t carry = 0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      uint64_t cur = result[i + j] + carry + uint64_t{a[i]} * uint64_t{b[j]};
-      result[i + j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    size_t k = i + b.size();
-    while (carry != 0) {
-      uint64_t cur = result[k] + carry;
-      result[k] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
-  }
-  while (!result.empty() && result.back() == 0) result.pop_back();
-  return result;
-}
-
 }  // namespace
 
 BigInt::BigInt(int64_t value) {
@@ -441,12 +389,6 @@ BigInt::BigInt(int64_t value) {
       negative_ ? ~static_cast<uint64_t>(value) + 1 : static_cast<uint64_t>(value);
   SetMagnitude64(magnitude);
 }
-
-void BigInt::ForceReferenceKernels(bool on) {
-  g_reference_kernels.store(on, std::memory_order_relaxed);
-}
-
-bool BigInt::ReferenceKernelsForced() { return UseReferenceKernels(); }
 
 Result<BigInt> BigInt::FromString(const std::string& text) {
   size_t pos = 0;
@@ -727,7 +669,6 @@ Limbs BigInt::MulMagnitude(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return result;
   // Single-limb fast path: one carry-propagating pass instead of the
   // schoolbook double loop. (2^32-1)^2 + carry stays below 2^64.
-  // Shared by both kernel suites (it is already optimal).
   if (a.size() == 1 || b.size() == 1) {
     const Limbs& multi = a.size() == 1 ? b : a;
     const uint64_t single = (a.size() == 1 ? a : b)[0];
@@ -741,10 +682,6 @@ Limbs BigInt::MulMagnitude(const Limbs& a, const Limbs& b) {
     if (carry != 0) result.push_back(static_cast<uint32_t>(carry));
     while (!result.empty() && result.back() == 0) result.pop_back();
     return result;
-  }
-  if (UseReferenceKernels()) {
-    trace::Count("bigint/schoolbook_calls");
-    return MulMagnitudeReference(a, b);
   }
   // Even-length operands on a little-endian target: the limb buffers
   // already are word vectors (see the Word comment above), so read them
@@ -1071,8 +1008,8 @@ Status BigInt::DivMod(const BigInt& divisor, BigInt* quotient,
     }
     return Status::OK();
   }
-  // Divisor spans 3+ limbs. Settle the trivial orderings first so both
-  // general kernels start from |dividend| > |divisor|.
+  // Divisor spans 3+ limbs. Settle the trivial orderings first so
+  // Algorithm D starts from |dividend| > |divisor|.
   const int cmp = CompareMagnitude(limbs_, divisor.limbs_);
   if (cmp < 0) {
     if (quotient != nullptr) *quotient = BigInt();
@@ -1084,49 +1021,20 @@ Status BigInt::DivMod(const BigInt& divisor, BigInt* quotient,
     if (remainder != nullptr) *remainder = BigInt();
     return Status::OK();
   }
-  if (!UseReferenceKernels()) {
-    Limbs q;
-    Limbs r;
-    KnuthDivModImpl(limbs_, divisor.limbs_, quotient != nullptr ? &q : nullptr,
-                    remainder != nullptr ? &r : nullptr);
-    if (quotient != nullptr) {
-      quotient->limbs_ = std::move(q);
-      quotient->negative_ = false;
-      quotient->Normalize();
-    }
-    if (remainder != nullptr) {
-      remainder->limbs_ = std::move(r);
-      remainder->negative_ = false;
-      remainder->Normalize();
-    }
-    return Status::OK();
+  Limbs q;
+  Limbs r;
+  KnuthDivModImpl(limbs_, divisor.limbs_, quotient != nullptr ? &q : nullptr,
+                  remainder != nullptr ? &r : nullptr);
+  if (quotient != nullptr) {
+    quotient->limbs_ = std::move(q);
+    quotient->negative_ = false;
+    quotient->Normalize();
   }
-  // Reference kernel: binary long division on magnitudes — scan
-  // dividend bits from the most significant downward, maintaining the
-  // running remainder.
-  BigInt rem;
-  BigInt quot;
-  const size_t bits = BitLength();
-  quot.limbs_.assign(bits / 32 + 1, 0);
-  for (size_t i = bits; i-- > 0;) {
-    ShiftLeftSmall(&rem.limbs_, 1);
-    uint32_t bit = (limbs_[i / 32] >> (i % 32)) & 1;
-    if (bit != 0) {
-      if (rem.limbs_.empty()) {
-        rem.limbs_.push_back(1);
-      } else {
-        rem.limbs_[0] |= 1;
-      }
-    }
-    if (CompareMagnitude(rem.limbs_, divisor.limbs_) >= 0) {
-      rem.limbs_ = SubMagnitude(rem.limbs_, divisor.limbs_);
-      quot.limbs_[i / 32] |= uint32_t{1} << (i % 32);
-    }
+  if (remainder != nullptr) {
+    remainder->limbs_ = std::move(r);
+    remainder->negative_ = false;
+    remainder->Normalize();
   }
-  quot.Normalize();
-  rem.Normalize();
-  if (quotient != nullptr) *quotient = std::move(quot);
-  if (remainder != nullptr) *remainder = std::move(rem);
   return Status::OK();
 }
 
@@ -1177,25 +1085,6 @@ BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
     BigInt result;
     result.SetMagnitude64(NativeGcd(a.Magnitude64(), b.Magnitude64()));
     return result;
-  }
-  if (UseReferenceKernels()) {
-    // Reference kernel: Euclid on magnitudes; falls into the native
-    // path as soon as both operands shrink below 64 bits.
-    BigInt x = a.Abs();
-    BigInt y = b.Abs();
-    while (!y.is_zero()) {
-      if (x.limbs_.size() <= 2 && y.limbs_.size() <= 2) {
-        BigInt result;
-        result.SetMagnitude64(NativeGcd(x.Magnitude64(), y.Magnitude64()));
-        return result;
-      }
-      BigInt remainder;
-      // y is nonzero by the loop condition.
-      (void)x.DivMod(y, nullptr, &remainder);
-      x = std::move(y);
-      y = std::move(remainder);
-    }
-    return x;
   }
   // Binary (Stein) GCD on magnitudes: shifts and in-place subtractions
   // only — no division in the loop, which is what made Euclid dominate

@@ -10,9 +10,9 @@
 // (Karatsuba multiply, Knuth Algorithm-D divmod, binary Stein GCD)
 // computed over transient 64-bit word views of the limb array. The
 // original schoolbook multiply / binary long division / Euclid GCD
-// remain compiled in as a differential reference, selected by
-// ForceReferenceKernels or the XMLVERIFY_BIGINT_REFERENCE environment
-// variable (see docs/performance.md, "BigInt kernels").
+// are kept as named reference functions in base/bigint_reference.h,
+// which only the BigInt tests and bench_bigint call (see
+// docs/performance.md, "BigInt kernels").
 #ifndef XMLVERIFY_BASE_BIGINT_H_
 #define XMLVERIFY_BASE_BIGINT_H_
 
@@ -290,16 +290,6 @@ class BigInt {
   /// and for odd values).
   size_t TrailingZeroBits() const;
 
-  /// Forces the pre-sub-quadratic reference kernels (schoolbook
-  /// multiply, binary long division, Euclid GCD) process-wide, for
-  /// differential cross-checks of the fast kernels. Also armed by
-  /// setting the XMLVERIFY_BIGINT_REFERENCE environment variable to a
-  /// nonempty value other than "0" before process start. Thread-safe;
-  /// intended for test/bench harnesses, not concurrent toggling
-  /// mid-computation.
-  static void ForceReferenceKernels(bool on);
-  static bool ReferenceKernelsForced();
-
   /// Floor division: quotient rounds toward negative infinity.
   BigInt FloorDiv(const BigInt& other) const;
   /// Ceiling division: quotient rounds toward positive infinity.
@@ -327,6 +317,8 @@ class BigInt {
   bool operator>=(const BigInt& other) const { return Compare(other) >= 0; }
 
  private:
+  // The reference kernels (base/bigint_reference.h) work on the limbs.
+  friend class BigIntReference;
   using Limbs = internal_bigint::LimbVector;
 
   // Magnitude as uint64 when it fits (size <= 2).

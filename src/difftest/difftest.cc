@@ -17,65 +17,6 @@ struct Cell {
   Disagreement disagreement;  // filled only when `disagreed`
 };
 
-OracleOptions WithSolverPipeline(OracleOptions oracle, bool fast) {
-  oracle.solver.use_presolve = fast;
-  oracle.solver.use_sparse_simplex = fast;
-  oracle.solver.warm_start = fast;
-  return oracle;
-}
-
-bool Definitive(ConsistencyOutcome outcome) {
-  return outcome == ConsistencyOutcome::kConsistent ||
-         outcome == ConsistencyOutcome::kInconsistent;
-}
-
-// Cross-checks `spec` under the configured solver pipeline(s). For
-// kBoth the legacy engine's report is merged into the fast one, and
-// any definitive verdict that differs between the pipelines (overall
-// consensus or any individual procedure) becomes a disagreement. Only
-// definitive verdicts are compared: which non-verdict limit fires
-// first legitimately varies across engines.
-CrossCheckReport CheckUnderSolverPath(const Specification& spec,
-                                      const DifftestOptions& options) {
-  if (options.solver_path == SolverPath::kLegacy) {
-    return CrossCheckSpecification(
-        spec, WithSolverPipeline(options.oracle, /*fast=*/false));
-  }
-  CrossCheckReport fast = CrossCheckSpecification(
-      spec, WithSolverPipeline(options.oracle, /*fast=*/true));
-  if (options.solver_path == SolverPath::kFast) return fast;
-
-  CrossCheckReport legacy = CrossCheckSpecification(
-      spec, WithSolverPipeline(options.oracle, /*fast=*/false));
-  CrossCheckReport merged = fast;
-  for (const std::string& reason : legacy.disagreements) {
-    merged.disagreements.push_back("legacy: " + reason);
-  }
-  if (fast.consensus.has_value() && legacy.consensus.has_value() &&
-      *fast.consensus != *legacy.consensus) {
-    merged.disagreements.push_back(
-        "solver-path divergence: consensus fast=" +
-        OutcomeName(*fast.consensus) +
-        " legacy=" + OutcomeName(*legacy.consensus));
-  }
-  for (const ProcedureRun& fast_run : fast.runs) {
-    if (!fast_run.ran || !Definitive(fast_run.verdict.outcome)) continue;
-    for (const ProcedureRun& legacy_run : legacy.runs) {
-      if (legacy_run.name != fast_run.name || !legacy_run.ran) continue;
-      if (Definitive(legacy_run.verdict.outcome) &&
-          legacy_run.verdict.outcome != fast_run.verdict.outcome) {
-        merged.disagreements.push_back(
-            "solver-path divergence: " + fast_run.name +
-            " fast=" + OutcomeName(fast_run.verdict.outcome) +
-            " legacy=" + OutcomeName(legacy_run.verdict.outcome));
-      }
-      break;
-    }
-  }
-  if (!merged.consensus.has_value()) merged.consensus = legacy.consensus;
-  return merged;
-}
-
 Cell RunCell(uint64_t seed, DifftestClass cls, const DifftestOptions& options) {
   Cell cell;
   Result<GeneratedSpec> generated = GenerateSpec(seed, cls, options.generator);
@@ -88,7 +29,8 @@ Cell RunCell(uint64_t seed, DifftestClass cls, const DifftestOptions& options) {
     return cell;
   }
 
-  CrossCheckReport report = CheckUnderSolverPath(generated->spec, options);
+  CrossCheckReport report =
+      CrossCheckSpecification(generated->spec, options.oracle);
   cell.consensus = report.consensus;
   if (options.impl_mode) {
     std::vector<std::string> impl_reasons =
@@ -105,9 +47,9 @@ Cell RunCell(uint64_t seed, DifftestClass cls, const DifftestOptions& options) {
   cell.disagreement.spec_text = generated->text;
   if (options.shrink) {
     SpecPredicate still_disagrees = [&options](const Specification& spec) {
-      if (!CheckUnderSolverPath(spec, options).agreed()) return true;
-      return options.impl_mode &&
-             !CrossCheckImplication(spec, options.impl).empty();
+      return !CrossCheckSpecification(spec, options.oracle).agreed() ||
+             (options.impl_mode &&
+              !CrossCheckImplication(spec, options.impl).empty());
     };
     ShrinkOutcome shrunk = ShrinkSpecification(generated->spec,
                                                still_disagrees,

@@ -23,22 +23,10 @@
 
 namespace xmlverify {
 
-/// Which solver pipeline the oracle's exact procedures run on.
-enum class SolverPath {
-  kFast,    // presolve + sparse two-tier simplex (production default)
-  kLegacy,  // presolve off, dense BigInt simplex (reference engine)
-  kBoth,    // run both pipelines and cross-compare their verdicts
-};
-
 struct DifftestOptions {
   /// First seed of the sweep; each seed is run through every class.
   uint64_t start_seed = 1;
   int num_seeds = 100;
-  /// Solver pipeline under test. kBoth doubles the work per cell but
-  /// turns every cell into a fast-vs-legacy differential: any
-  /// definitive verdict that differs between the pipelines (overall
-  /// consensus or per-procedure) is reported as a disagreement.
-  SolverPath solver_path = SolverPath::kFast;
   /// Constraint classes to exercise; empty means all of them.
   std::vector<DifftestClass> classes;
   /// Worker threads (<= 0: one per hardware thread).

@@ -234,21 +234,34 @@ CrossCheckReport CrossCheckSpecification(const Specification& spec,
                : Deadline::Infinite();
   };
   auto begin = [&report](const std::string& name) {
-    report.runs.push_back(ProcedureRun{name});
+    ProcedureRun run;
+    run.name = name;
+    report.runs.push_back(std::move(run));
     trace::Count("difftest/procedure_runs");
     return &report.runs.back();
   };
-
-  // Facade: always applicable; exercises dispatch, budget plumbing,
-  // and the degradation ladder exactly as CLI users see them.
-  {
-    ProcedureRun* run = begin("facade");
+  auto run_facade = [&](const std::string& name, const SolverOptions& solver) {
+    ProcedureRun* run = begin(name);
     ConsistencyChecker::Options facade;
-    facade.solver = options.solver;
+    facade.solver = solver;
     facade.bounded = options.bounded;
     facade.max_expressions = options.max_expressions;
     facade.deadline = fresh_deadline();
     Fold(ConsistencyChecker(facade).Check(spec), run, &report.disagreements);
+  };
+
+  // Facade: always applicable; exercises dispatch, budget plumbing,
+  // and the degradation ladder exactly as CLI users see them.
+  run_facade("facade", options.solver);
+
+  // Reference: the facade again with presolve and warm starts off, so
+  // every LP relaxation is a cold solve of the unreduced rows. A
+  // verdict that differs from the facade's indicts one of the two.
+  {
+    SolverOptions reference = options.solver;
+    reference.use_presolve = false;
+    reference.warm_start = false;
+    run_facade("reference", reference);
   }
 
   // Exact absolute checker (Sections 3.1/3.3 encodings).

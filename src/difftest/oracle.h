@@ -1,9 +1,11 @@
 // Cross-procedure consistency oracle: runs one specification through
 // every decision procedure applicable to its class — the dispatching
-// facade, the absolute/no-star/regular/hierarchical exact checkers,
-// the bounded searcher, and (for tiny no-star non-recursive DTDs) an
-// exhaustive brute-force enumeration that is complete and therefore
-// yields a definitive INCONSISTENT — then compares the verdicts.
+// facade, the facade again on the reference solver configuration
+// (presolve and warm starts off), the absolute/no-star/regular/
+// hierarchical exact checkers, the bounded searcher, and (for tiny
+// no-star non-recursive DTDs) an exhaustive brute-force enumeration
+// that is complete and therefore yields a definitive INCONSISTENT —
+// then compares the verdicts.
 //
 // Agreement rules:
 //   - any two definitive verdicts (CONSISTENT / INCONSISTENT) must
@@ -53,7 +55,7 @@ struct OracleOptions {
 };
 
 struct ProcedureRun {
-  std::string name;           // "facade", "absolute", "nostar", ...
+  std::string name;           // "facade", "reference", "absolute", ...
   bool ran = false;           // produced a verdict
   std::string skip_reason;    // set when applicable but skipped
   ConsistencyVerdict verdict; // meaningful only when `ran`

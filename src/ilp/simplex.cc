@@ -16,9 +16,9 @@ namespace xmlverify {
 namespace {
 
 // ---------------------------------------------------------------------
-// Legacy dense phase-1 tableau over BigInt rationals. Kept
-// semantically frozen as the reference engine for --solver=legacy
-// differential runs (the row updates below now go through the fused
+// Dense phase-1 tableau over BigInt rationals, reached only through
+// SolveLpDense. Kept semantically frozen as the reference for the
+// sparse tableau (the row updates below now go through the fused
 // Rational::SubMul kernel, which computes the identical exact values
 // without per-cell temporaries).
 // Columns: structural vars, slack/surplus vars, artificial vars, then
@@ -680,14 +680,14 @@ SimplexResult SolveLp(int num_vars,
                       const std::vector<LinearConstraint>& constraints,
                       const Deadline& deadline, const ResourceBudget* budget,
                       const SimplexOptions& options) {
-  if (options.sparse) {
-    trace::Count("simplex/sparse_calls");
-    return RunWithTableau<SparseTableau>(num_vars, constraints, deadline,
-                                         budget, options);
-  }
-  trace::Count("simplex/dense_calls");
-  return RunWithTableau<DenseTableau>(num_vars, constraints, deadline, budget,
-                                      options);
+  return RunWithTableau<SparseTableau>(num_vars, constraints, deadline, budget,
+                                       options);
+}
+
+SimplexResult SolveLpDense(int num_vars,
+                           const std::vector<LinearConstraint>& constraints) {
+  return RunWithTableau<DenseTableau>(num_vars, constraints, Deadline(),
+                                      /*budget=*/nullptr, SimplexOptions{});
 }
 
 SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
@@ -696,8 +696,8 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
                         int num_vars, const Deadline& deadline,
                         const ResourceBudget* budget,
                         const SimplexOptions& options) {
-  bool warm_eligible = options.sparse && parent != nullptr && delta > 0 &&
-                       delta <= static_cast<int>(extra.size());
+  bool warm_eligible =
+      parent != nullptr && delta > 0 && delta <= static_cast<int>(extra.size());
   if (warm_eligible) {
     for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
       if (extra[i].relation == Relation::kEq) {

@@ -5,13 +5,13 @@
 // checkers reduce to feasibility questions, and floating-point LP
 // could flip a verdict. Bland's rule guarantees termination.
 //
-// Two tableau engines share the pivot driver (see docs/performance.md):
-//   * sparse (default): rows stored as sorted (column, value) pairs of
-//     two-tier rationals (int64 fast tier, BigInt on overflow), pivots
-//     walk nonzeros only and drop artificials as they leave the basis
-//     (same vertex as the dense engine, in no more pivots);
-//   * dense (legacy): the original dense BigInt-rational tableau, kept
-//     as the differential-testing reference engine.
+// SolveLp and ResolveLp run the sparse tableau: rows stored as sorted
+// (column, value) pairs of two-tier rationals (int64 fast tier, BigInt
+// on overflow); pivots walk nonzeros only and drop artificials as they
+// leave the basis, and a cold solve still stops at the dense tableau's
+// vertex, in no more pivots. SolveLpDense runs that original dense
+// BigInt-rational tableau, the reference tests and bench_solver compare
+// the sparse one against (see docs/performance.md).
 #ifndef XMLVERIFY_ILP_SIMPLEX_H_
 #define XMLVERIFY_ILP_SIMPLEX_H_
 
@@ -26,11 +26,11 @@
 
 namespace xmlverify {
 
-/// Opaque snapshot of a feasible sparse solve's final tableau, used to
+/// Opaque snapshot of a feasible solve's final tableau, used to
 /// warm-start the re-solve of a nearby system (same rows plus a few
 /// extra bounds) through a short dual-simplex run instead of a
-/// from-scratch phase-1. Produced only by the sparse engine, on
-/// request (SimplexOptions::export_warm_state); immutable once built,
+/// from-scratch phase-1. Produced on request
+/// (SimplexOptions::export_warm_state); immutable once built,
 /// so siblings in a branch-and-bound tree — including ones solved on
 /// different threads — may share one snapshot.
 struct SimplexWarmState;
@@ -39,12 +39,9 @@ struct SimplexWarmState;
 int64_t WarmStateBytes(const SimplexWarmState& state);
 
 struct SimplexOptions {
-  /// Use the sparse two-tier tableau. Off selects the legacy dense
-  /// BigInt tableau (slower; used as the difftest reference).
-  bool sparse = true;
-  /// On a feasible sparse solve, move the final tableau into
+  /// On a feasible solve, move the final tableau into
   /// SimplexResult::warm_state so the caller can warm-start re-solves
-  /// of child systems via ResolveLp. No effect on the dense engine.
+  /// of child systems via ResolveLp.
   bool export_warm_state = false;
 };
 
@@ -65,14 +62,14 @@ struct SimplexResult {
   int64_t pivots = 0;
   // Diagnostic detail for resource_exhausted.
   std::string note;
-  // Final tableau of a feasible sparse solve, when
+  // Final tableau of a feasible solve, when
   // SimplexOptions::export_warm_state asked for it.
   std::shared_ptr<const SimplexWarmState> warm_state;
   // ResolveLp only: the verdict came from the warm dual re-solve.
   bool warm_used = false;
   // ResolveLp only: the warm path was unusable (equality delta row,
-  // dense engine, degenerate dual chain) and the system was re-solved
-  // cold from scratch.
+  // degenerate dual chain) and the system was re-solved cold from
+  // scratch.
   bool warm_fallback = false;
 };
 
@@ -90,6 +87,13 @@ SimplexResult SolveLp(int num_vars,
                       const ResourceBudget* budget = nullptr,
                       const SimplexOptions& options = {});
 
+/// SolveLp on the dense BigInt tableau, which keeps its artificials
+/// and never exports warm state: the same verdict and vertex, in no
+/// fewer pivots. No deadline or budget; only tests and bench_solver
+/// call it.
+SimplexResult SolveLpDense(int num_vars,
+                           const std::vector<LinearConstraint>& constraints);
+
 /// Re-solves the system `base` followed by `extra`, where `parent` is
 /// the final tableau of the same rows minus the trailing `delta` rows
 /// of `extra`. The rows are passed in two parts so that a warm re-solve
@@ -100,9 +104,9 @@ SimplexResult SolveLp(int num_vars,
 /// preserved as dual feasibility — and a Bland-rule dual simplex
 /// restores primal feasibility in typically a handful of pivots. Falls
 /// back to a cold SolveLp over base ++ extra (setting warm_fallback)
-/// when the warm path does not apply: null/absent parent state, dense
-/// engine, an equality delta row, or a degenerate dual chain exceeding
-/// the pivot valve. Either way the result is exactly equivalent to a
+/// when the warm path does not apply: null/absent parent state, an
+/// equality delta row, or a degenerate dual chain exceeding the pivot
+/// valve. Either way the result is exactly equivalent to a
 /// cold solve in its feasibility verdict, and observes the same
 /// deadline, budget, and fault-injection contracts as SolveLp.
 SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,

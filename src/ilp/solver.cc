@@ -93,7 +93,6 @@ struct SearchContext {
   const std::optional<PresolveInfo>& presolve;
   SimplexOptions simplex_options;
   bool cap_active;
-  bool warm_enabled;
 
   int64_t nodes_explored = 0;
   int64_t lp_pivots = 0;
@@ -140,7 +139,7 @@ std::optional<SearchStop> ProcessNode(SearchContext& ctx, SearchNode&& node,
              static_cast<int64_t>(node.extra.size()));
 
   SimplexResult lp;
-  if (ctx.warm_enabled && node.warm != nullptr && node.delta > 0) {
+  if (ctx.options.warm_start && node.warm != nullptr && node.delta > 0) {
     lp = ResolveLp(node.warm, ctx.base, node.extra, node.delta,
                    ctx.search_vars, ctx.options.deadline, &ctx.options.budget,
                    ctx.simplex_options);
@@ -426,10 +425,7 @@ SolveResult IlpSolver::Solve(const IntegerProgram& program) const {
     }
   }
   SimplexOptions simplex_options;
-  simplex_options.sparse = options_.use_sparse_simplex;
-  const bool warm_enabled =
-      options_.warm_start && options_.use_sparse_simplex;
-  simplex_options.export_warm_state = warm_enabled;
+  simplex_options.export_warm_state = options_.warm_start;
   const size_t uncapped_size = base.size();
   bool cap_active = options_.variable_cap.has_value();
   if (cap_active) {
@@ -440,9 +436,9 @@ SolveResult IlpSolver::Solve(const IntegerProgram& program) const {
   }
   trace::Max("solver/max_branch_depth", 0);
 
-  SearchContext ctx{program,     options_,        base,
-                    uncapped_size, search_vars,   presolve,
-                    simplex_options, cap_active,  warm_enabled};
+  SearchContext ctx{program,       options_,    base,
+                    uncapped_size, search_vars, presolve,
+                    simplex_options, cap_active};
   SearchNode root;
   root.conditional_decided.assign(program.conditionals().size(), false);
   std::optional<SearchStop> stop = Search(ctx, std::move(root));

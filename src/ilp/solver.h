@@ -66,21 +66,20 @@ struct SolverOptions {
   /// branch-and-bound. Variable elimination engages only for purely
   /// linear programs; with conditionals or prequadratics present the
   /// row reductions still apply over the original variable space.
-  /// Off restores the legacy pipeline (the difftest reference).
+  /// Off assembles the rows directly and applies only the per-row gcd
+  /// test. The presolve-mismatch re-run and the difftest `reference`
+  /// procedure turn it off.
   bool use_presolve = true;
-  /// Use the sparse two-tier simplex for LP relaxations; off selects
-  /// the legacy dense BigInt tableau.
-  bool use_sparse_simplex = true;
   /// Dual-simplex warm starts: each branch child re-solves its LP from
   /// the parent's final tableau (the child differs by one or two bound
   /// rows) through a short dual-simplex run instead of a from-scratch
-  /// phase-1. Sparse engine only — with use_sparse_simplex off the
-  /// flag is ignored, so the legacy pipeline stays the cold,
-  /// difftest-comparable reference. Equality delta rows and degenerate
-  /// dual chains fall back to cold solves automatically (counted as
-  /// solver/warm_start_fallbacks). Retained parent tableaus are shared
-  /// between siblings and bounded by the branch depth; they are
-  /// charged to the budget transiently during each re-solve.
+  /// phase-1. Off re-solves every node cold, as the difftest
+  /// `reference` procedure and bench_warm_start's cold leg do.
+  /// Equality delta rows and degenerate dual chains fall back to cold
+  /// solves automatically (counted as solver/warm_start_fallbacks).
+  /// Retained parent tableaus are shared between siblings and bounded
+  /// by the branch depth; they are charged to the budget transiently
+  /// during each re-solve.
   bool warm_start = true;
 };
 

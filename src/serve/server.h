@@ -108,12 +108,12 @@ struct ServeOptions {
   /// and written back on drain (and periodically, below), so a
   /// restart begins warm. Corrupt or stale records are skipped
   /// individually at load.
-  std::string cache_snapshot_path;
+  std::string cache_snapshot_path = "";
   /// Periodic snapshot interval in milliseconds; <= 0 writes only on
   /// drain. Ignored when cache_snapshot_path is empty.
   int64_t snapshot_interval_millis = 0;
   /// Base checker options; budgets/deadline stamped per request.
-  ConsistencyChecker::Options check;
+  ConsistencyChecker::Options check = {};
   /// Incremental re-verification (docs/implication.md): on a verdict
   /// cache miss, try to confirm a previously solved verdict for the
   /// same DTD through quick-tier implication — Sigma_new implying the

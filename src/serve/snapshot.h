@@ -11,8 +11,8 @@
 // The on-disk format is line-framed and self-checking:
 //
 //   XVCSNAP1\n
-//   R <outcome> <fingerprint> <len_canonical> <len_note> \
-//     <len_witness> <len_core> <checksum>\n
+//   R <outcome> <fingerprint> <len_canonical> <len_note>
+//     <len_witness> <len_core> <checksum>\n          (one line)
 //   <canonical bytes><note bytes><witness bytes><core bytes>\n
 //   ... more R records ...
 //

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "base/bigint_reference.h"
 #include "tests/test_util.h"
 
 namespace xmlverify {
@@ -405,27 +406,29 @@ TEST(BigIntTest, KnuthDivModAddBackPath) {
   EXPECT_LT(r, v);
   EXPECT_FALSE(r.is_negative());
   // The same vector must agree with the reference long division.
-  BigInt::ForceReferenceKernels(true);
   BigInt q_ref;
   BigInt r_ref;
-  ASSERT_OK(u.DivMod(v, &q_ref, &r_ref));
-  BigInt::ForceReferenceKernels(false);
+  ASSERT_OK(BigIntReference::DivMod(u, v, &q_ref, &r_ref));
   EXPECT_EQ(q, q_ref);
   EXPECT_EQ(r, r_ref);
 }
 
-TEST(BigIntTest, ReferenceKernelToggle) {
-  EXPECT_FALSE(BigInt::ReferenceKernelsForced());
+TEST(BigIntTest, ReferenceFunctionsMatchWordKernels) {
   BigInt a = BigInt::Pow2(200) - BigInt(9);
   BigInt b = BigInt::Pow2(130) + BigInt(5);
-  BigInt fast_product = a * b;
-  BigInt fast_gcd = BigInt::Gcd(a * b, b * BigInt(21));
-  BigInt::ForceReferenceKernels(true);
-  EXPECT_TRUE(BigInt::ReferenceKernelsForced());
-  EXPECT_EQ(a * b, fast_product);
-  EXPECT_EQ(BigInt::Gcd(a * b, b * BigInt(21)), fast_gcd);
-  BigInt::ForceReferenceKernels(false);
-  EXPECT_FALSE(BigInt::ReferenceKernelsForced());
+  EXPECT_EQ(BigIntReference::Multiply(a, b), a * b);
+  EXPECT_EQ(BigIntReference::Multiply(-a, b), -(a * b));
+  EXPECT_EQ(BigIntReference::Multiply(a, BigInt(0)), BigInt(0));
+  EXPECT_FALSE(BigIntReference::Multiply(-a, BigInt(0)).is_negative());
+  EXPECT_EQ(BigIntReference::Gcd(a * b, b * BigInt(21)),
+            BigInt::Gcd(a * b, b * BigInt(21)));
+  EXPECT_EQ(BigIntReference::Gcd(BigInt(0), -b), b);
+  BigInt q;
+  BigInt r;
+  ASSERT_OK(BigIntReference::DivMod(-(a * b + BigInt(7)), b, &q, &r));
+  EXPECT_EQ(q, a);
+  EXPECT_EQ(r, BigInt(7));
+  EXPECT_FALSE(BigIntReference::DivMod(a, BigInt(0), &q, &r).ok());
 }
 
 TEST(BigIntTest, GcdLargeOperands) {

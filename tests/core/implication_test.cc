@@ -34,7 +34,6 @@ a.v <= b.v
 b.v <= c.v
 )");
   ASSERT_OK_AND_ASSIGN(int a, spec.dtd.TypeId("a"));
-  ASSERT_OK_AND_ASSIGN(int b, spec.dtd.TypeId("b"));
   ASSERT_OK_AND_ASSIGN(int c, spec.dtd.TypeId("c"));
   // a.v <= c.v is implied.
   ASSERT_OK_AND_ASSIGN(

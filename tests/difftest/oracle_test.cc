@@ -72,6 +72,27 @@ TEST(OracleTest, ExhaustiveRefutationMakesInconsistencyDefinitive) {
   EXPECT_TRUE(exhaustive_ran);
 }
 
+TEST(OracleTest, ReferenceProcedureRunsBesideTheFacade) {
+  // The facade again with presolve and warm starts off: it runs on
+  // every spec, right after the facade, and reaches the same verdict.
+  Specification spec = MustParse(
+      "root r\n"
+      "<!ELEMENT r (a.a*)>\n"
+      "<!ELEMENT a (%)>\n"
+      "<!ATTLIST a id CDATA #REQUIRED>\n"
+      "%%\n"
+      "a.id -> a\n");
+  CrossCheckReport report = CrossCheckSpecification(spec);
+  EXPECT_TRUE(report.agreed());
+  ASSERT_GE(report.runs.size(), 2u);
+  EXPECT_EQ(report.runs[0].name, "facade");
+  const ProcedureRun& reference = report.runs[1];
+  EXPECT_EQ(reference.name, "reference");
+  ASSERT_TRUE(reference.ran) << reference.skip_reason;
+  EXPECT_EQ(reference.verdict.outcome, ConsistencyOutcome::kConsistent);
+  ASSERT_TRUE(reference.verdict.witness.has_value());
+}
+
 TEST(OracleTest, MaxDocumentNodesBoundsFiniteDtds) {
   // r has children a and b; a has one c; all leaves are empty.
   Specification spec = MustParse(

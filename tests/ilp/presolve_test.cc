@@ -221,9 +221,9 @@ TEST(PresolveTest, EliminationDisabledKeepsIdentitySpace) {
   EXPECT_TRUE(pinned_above);
 }
 
-// End-to-end agreement: the presolved+sparse pipeline and the legacy
-// pipeline must return the same verdict, and every SAT witness must
-// satisfy the original program.
+// End-to-end agreement: the default pipeline and the legacy one (no
+// presolve, every node re-solved cold) must return the same verdict,
+// and every SAT witness must satisfy the original program.
 TEST(PresolveTest, SolverAgreesWithLegacyPipeline) {
   struct Case {
     const char* name;
@@ -269,7 +269,7 @@ TEST(PresolveTest, SolverAgreesWithLegacyPipeline) {
     SolveResult fast_result = IlpSolver(fast).Solve(c.program);
     SolverOptions legacy;
     legacy.use_presolve = false;
-    legacy.use_sparse_simplex = false;
+    legacy.warm_start = false;
     SolveResult legacy_result = IlpSolver(legacy).Solve(c.program);
     EXPECT_EQ(static_cast<int>(fast_result.outcome),
               static_cast<int>(legacy_result.outcome))

@@ -1,8 +1,14 @@
 // Randomized stress for the exact solver stack: every SAT answer is a
 // genuine solution; every UNSAT answer survives a randomized hunt for
-// counterexamples; exactness holds under large coefficients.
+// counterexamples; exactness holds under large coefficients; the
+// sparse tableau stops at the dense tableau's vertex, on random LPs
+// and on the encoders' LPs of generated specifications.
 #include <gtest/gtest.h>
 
+#include "difftest/spec_generator.h"
+#include "encoding/cardinality.h"
+#include "encoding/flow_encoder.h"
+#include "encoding/regular_encoder.h"
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
 #include "tests/ilp/random_lp.h"
@@ -80,8 +86,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomIlpSweep,
 // and the sparse engine never needs more pivots.
 TEST(SimplexStressTest, SparseAndDenseEnginesReturnTheSameVertex) {
   uint64_t state = 0x2545f4914f6cdd1dull;
-  SimplexOptions dense;
-  dense.sparse = false;
   int feasible = 0;
   const int kPrograms = 2000;
   for (int trial = 0; trial < kPrograms; ++trial) {
@@ -90,8 +94,7 @@ TEST(SimplexStressTest, SparseAndDenseEnginesReturnTheSameVertex) {
     shape.redundant_equalities = trial % 3 == 0 ? 2 : 0;
     RandomLp lp = GenerateRandomLp(&state, shape);
     SimplexResult sparse_result = SolveLp(lp.num_vars, lp.rows);
-    SimplexResult dense_result =
-        SolveLp(lp.num_vars, lp.rows, Deadline(), nullptr, dense);
+    SimplexResult dense_result = SolveLpDense(lp.num_vars, lp.rows);
     ASSERT_EQ(sparse_result.feasible, dense_result.feasible)
         << "trial " << trial;
     if (shape.planted) {
@@ -108,6 +111,101 @@ TEST(SimplexStressTest, SparseAndDenseEnginesReturnTheSameVertex) {
   EXPECT_GE(feasible, kPrograms / 2);
   EXPECT_LT(feasible, kPrograms);
 }
+
+// Encodes `spec` as the exact checker for `cls` does: the DTD flow
+// system plus absolute cardinalities, or the regular encoder over the
+// constraints folded into regular form.
+Result<IntegerProgram> EncodeSpec(const Specification& spec,
+                                  DifftestClass cls) {
+  IntegerProgram program;
+  if (cls == DifftestClass::kAcRegular) {
+    ASSIGN_OR_RETURN(ConstraintSet regular,
+                     AbsoluteAsRegular(spec.constraints, spec.dtd));
+    RETURN_IF_ERROR(
+        RegularEncoder::Build(spec.dtd, regular, &program).status());
+    return program;
+  }
+  ASSIGN_OR_RETURN(DtdFlowSystem flow,
+                   DtdFlowSystem::Build(spec.dtd, nullptr, &program));
+  RETURN_IF_ERROR(
+      AbsoluteCardinality::Emit(spec.dtd, spec.constraints, {}, &flow, &program)
+          .status());
+  return program;
+}
+
+LinearConstraint BoundRow(VarId var, Relation relation, BigInt bound) {
+  LinearConstraint row;
+  row.lhs.Add(var, BigInt(1));
+  row.relation = relation;
+  row.rhs = std::move(bound);
+  return row;
+}
+
+// Solves `rows` on both tableaus: the same verdict, the same vertex,
+// and no more pivots on the sparse one. Returns the sparse result.
+SimplexResult SolveOnBothEngines(int num_vars,
+                                 const std::vector<LinearConstraint>& rows,
+                                 const std::string& where) {
+  SimplexResult sparse = SolveLp(num_vars, rows);
+  SimplexResult dense = SolveLpDense(num_vars, rows);
+  EXPECT_EQ(sparse.feasible, dense.feasible) << where;
+  if (sparse.feasible && dense.feasible) {
+    EXPECT_EQ(sparse.solution, dense.solution) << where;
+  }
+  EXPECT_LE(sparse.pivots, dense.pivots) << where;
+  return sparse;
+}
+
+// Parameterized by class name, so each case prints as its class.
+class EncoderLpSweep : public ::testing::TestWithParam<const char*> {};
+
+// The LPs branch and bound meets on the paper's encodings: each
+// generated spec's root relaxation (linear rows plus upper bounds, as
+// the solver assembles them without presolve) and, when the root
+// vertex is fractional, both children of its first fractional
+// coordinate.
+TEST_P(EncoderLpSweep, SparseAndDenseEnginesReturnTheSameVertex) {
+  ASSERT_OK_AND_ASSIGN(DifftestClass cls, ParseDifftestClass(GetParam()));
+  int feasible_roots = 0;
+  int branched = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::string where =
+        std::string(GetParam()) + " seed " + std::to_string(seed);
+    ASSERT_OK_AND_ASSIGN(GeneratedSpec generated, GenerateSpec(seed, cls));
+    ASSERT_OK_AND_ASSIGN(IntegerProgram program,
+                         EncodeSpec(generated.spec, cls));
+    const int num_vars = program.num_variables();
+    std::vector<LinearConstraint> root = program.linear();
+    for (VarId var = 0; var < num_vars; ++var) {
+      if (const BigInt* bound = program.UpperBound(var)) {
+        root.push_back(BoundRow(var, Relation::kLe, *bound));
+      }
+    }
+    SimplexResult lp = SolveOnBothEngines(num_vars, root, where);
+    if (!lp.feasible) continue;
+    ++feasible_roots;
+    for (VarId var = 0; var < num_vars; ++var) {
+      const Rational& value = lp.solution[var];
+      if (value.is_integer()) continue;
+      ++branched;
+      std::vector<LinearConstraint> child = root;
+      child.push_back(BoundRow(var, Relation::kLe, value.Floor()));
+      SolveOnBothEngines(num_vars, child, where + " branch<=");
+      child.back() = BoundRow(var, Relation::kGe, value.Ceil());
+      SolveOnBothEngines(num_vars, child, where + " branch>=");
+      break;
+    }
+  }
+  // Vertices are compared, and so are branch children.
+  EXPECT_GT(feasible_roots, 0);
+  EXPECT_GT(branched, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Classes, EncoderLpSweep, ::testing::Values("ack", "acfk", "reg"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 TEST(SimplexStressTest, LargeCoefficientFeasibility) {
   // x = 10^25, y = 2x: exact arithmetic must carry through.

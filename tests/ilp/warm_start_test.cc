@@ -79,12 +79,9 @@ TEST(WarmStartTest, ExportProducesStateOnFeasibleSparseSolves) {
   EXPECT_GT(WarmStateBytes(*exported.warm_state), 0);
 
   // Without the option nothing is exported; the dense engine never
-  // exports regardless.
+  // exports.
   EXPECT_EQ(SolveLp(2, constraints).warm_state, nullptr);
-  SimplexOptions dense = Exporting();
-  dense.sparse = false;
-  EXPECT_EQ(SolveLp(2, constraints, Deadline(), nullptr, dense).warm_state,
-            nullptr);
+  EXPECT_EQ(SolveLpDense(2, constraints).warm_state, nullptr);
 }
 
 TEST(WarmStartTest, WarmResolveMatchesColdOnBoundTightening) {
@@ -158,22 +155,6 @@ TEST(WarmStartTest, NullParentFallsBackCold) {
   std::vector<LinearConstraint> extra = {Make({{0, 2}}, Relation::kLe, 5)};
   SimplexResult result = ResolveLp(nullptr, base, extra, /*delta=*/1,
                                    /*num_vars=*/1);
-  EXPECT_TRUE(result.warm_fallback);
-  EXPECT_TRUE(result.feasible);
-}
-
-TEST(WarmStartTest, DenseEngineFallsBackCold) {
-  std::vector<LinearConstraint> base = {
-      Make({{0, 1}}, Relation::kLe, 5),
-  };
-  SimplexResult parent = SolveLp(1, base, Deadline(), nullptr, Exporting());
-  ASSERT_NE(parent.warm_state, nullptr);
-  std::vector<LinearConstraint> extra = {Make({{0, 1}}, Relation::kGe, 2)};
-  SimplexOptions dense;
-  dense.sparse = false;
-  SimplexResult result =
-      ResolveLp(parent.warm_state, base, extra, /*delta=*/1,
-                /*num_vars=*/1, Deadline(), nullptr, dense);
   EXPECT_TRUE(result.warm_fallback);
   EXPECT_TRUE(result.feasible);
 }
