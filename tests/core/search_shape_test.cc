@@ -1,10 +1,12 @@
-// Search-shape goldens: branch-and-bound node counts on fixed draws of
-// three of the paper's hardness families (Theorem 3.5a CNF depth-2,
-// two-constraint SUBSET-SUM, Theorem 4.4 QBF -> 2-HRC). Node counts
-// depend on which LP vertex each relaxation returns, so a change that
-// moves a vertex (pricing, crash bases, early phase-1 exits) shows up
-// here. Such a change must update these values on purpose; a pure
-// speed-up of the simplex must leave them as they are.
+// Search-shape goldens: branch-and-bound node counts and LP pivot
+// counts on fixed draws of three of the paper's hardness families
+// (Theorem 3.5a CNF depth-2, two-constraint SUBSET-SUM, Theorem 4.4
+// QBF -> 2-HRC). Node counts depend on which LP vertex each relaxation
+// returns, and pivot counts on the pivot sequence that reaches it, so
+// a change that moves a vertex or a pivot (pricing, crash bases, early
+// phase-1 exits) shows up here. Such a change must update these values
+// on purpose; a pure speed-up of the simplex must leave them as they
+// are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +27,7 @@ namespace {
 struct Golden {
   uint64_t seed;
   int64_t nodes;
+  int64_t pivots;
 };
 
 // Checks `spec` with default options and returns the verdict, after
@@ -44,7 +47,8 @@ ConsistencyVerdict CheckAgainstOracle(const Specification& spec,
 }
 
 TEST(SearchShapeTest, CnfDepth2NodeCounts) {
-  const Golden goldens[] = {{11, 6}, {12, 9}, {13, 4}, {14, 11}};
+  const Golden goldens[] = {
+      {11, 6, 363}, {12, 9, 373}, {13, 4, 351}, {14, 11, 372}};
   for (const Golden& golden : goldens) {
     CnfFormula formula = CnfFormula::Random(6, 12, 3, golden.seed);
     std::string context = "cnf n=6 seed " + std::to_string(golden.seed);
@@ -52,6 +56,7 @@ TEST(SearchShapeTest, CnfDepth2NodeCounts) {
         CnfToDepth2Spec(formula).ValueOrDie(), formula.Solve().has_value(),
         context);
     EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+    EXPECT_EQ(verdict.stats.lp_pivots, golden.pivots) << context;
   }
 }
 
@@ -75,7 +80,8 @@ SubsetSumInstance SubsetSumDraw(uint64_t seed) {
 }
 
 TEST(SearchShapeTest, SubsetSumNodeCounts) {
-  const Golden goldens[] = {{21, 41}, {22, 21}, {23, 11}, {24, 15}};
+  const Golden goldens[] = {
+      {21, 41, 343}, {22, 21, 270}, {23, 11, 238}, {24, 15, 248}};
   for (const Golden& golden : goldens) {
     SubsetSumInstance instance = SubsetSumDraw(golden.seed);
     std::string context = "subset-sum b=8 seed " + std::to_string(golden.seed);
@@ -83,17 +89,20 @@ TEST(SearchShapeTest, SubsetSumNodeCounts) {
         CheckAgainstOracle(SubsetSumToSpec(instance).ValueOrDie(),
                            instance.HasSolution(), context);
     EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+    EXPECT_EQ(verdict.stats.lp_pivots, golden.pivots) << context;
   }
 }
 
 TEST(SearchShapeTest, QbfTo2HrcNodeCounts) {
-  const Golden goldens[] = {{31, 314}, {32, 297}, {33, 272}, {34, 223}};
+  const Golden goldens[] = {
+      {31, 314, 1596}, {32, 297, 1528}, {33, 272, 1473}, {34, 223, 1447}};
   for (const Golden& golden : goldens) {
     QbfFormula formula = QbfFormula::Random(3, 3, 2, golden.seed);
     std::string context = "qbf-hrc m=3 seed " + std::to_string(golden.seed);
     ConsistencyVerdict verdict = CheckAgainstOracle(
         QbfTo2HrcSpec(formula).ValueOrDie(), formula.Evaluate(), context);
     EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+    EXPECT_EQ(verdict.stats.lp_pivots, golden.pivots) << context;
   }
 }
 
