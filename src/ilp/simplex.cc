@@ -228,6 +228,16 @@ class SparseTableau {
   using Cell = std::pair<int, TwoTierRational>;
   using SparseRow = std::vector<Cell>;
 
+  // Scratch that the pivots of one solve reuse: the pivot column's
+  // cells, gathered once per pivot for the ratio test and the
+  // elimination, and RowSubMul's merge buffer. It lives outside the
+  // tableau, so exported warm snapshots do not carry it.
+  struct Workspace {
+    // (row, position of the row's pivot-column cell), in row order.
+    std::vector<std::pair<int, int>> column;
+    SparseRow merged;
+  };
+
   SparseTableau(int num_vars, const std::vector<LinearConstraint>& constraints)
       : num_vars_(num_vars), num_rows_(static_cast<int>(constraints.size())) {
     int num_slacks = 0;
@@ -303,8 +313,9 @@ class SparseTableau {
     return count;
   }
 
-  bool Optimize(int64_t* pivots, const Deadline& deadline,
-                bool* deadline_exceeded, bool* resource_exhausted) {
+  bool Optimize(Workspace* workspace, int64_t* pivots,
+                const Deadline& deadline, bool* deadline_exceeded,
+                bool* resource_exhausted) {
     PeriodicDeadlineCheck check(deadline, /*stride=*/16);
     while (true) {
       if (check.Expired()) {
@@ -327,13 +338,14 @@ class SparseTableau {
       if (entering < 0) break;  // optimal
       // Ratio test over rows with a positive entering-column entry;
       // Bland tie-break on the smallest basis variable.
+      GatherColumn(entering, workspace);
       int leaving_row = -1;
       std::optional<TwoTierRational> best_ratio;
-      for (int i = 0; i < num_rows_; ++i) {
-        const TwoTierRational* coeff = Find(rows_[i], entering);
-        if (coeff == nullptr || coeff->sign() <= 0) continue;
+      for (const auto& [i, position] : workspace->column) {
+        const TwoTierRational& coeff = rows_[i][position].second;
+        if (coeff.sign() <= 0) continue;
         TwoTierRational ratio = rhs_[i];
-        ratio /= *coeff;
+        ratio /= coeff;
         if (leaving_row < 0) {
           leaving_row = i;
           best_ratio = std::move(ratio);
@@ -350,7 +362,7 @@ class SparseTableau {
         // happen with exact arithmetic; treat as optimal defensively.
         break;
       }
-      Pivot(leaving_row, entering);
+      Pivot(leaving_row, entering, workspace);
       ++*pivots;
     }
     return objective_.is_zero();
@@ -375,7 +387,8 @@ class SparseTableau {
   // suffices). Requires relation != kEq — an equality row would need
   // an artificial, destroying dual feasibility; callers fall back to a
   // cold solve instead.
-  void AppendRelaxedRow(const LinearConstraint& constraint) {
+  void AppendRelaxedRow(const LinearConstraint& constraint,
+                        Workspace* workspace) {
     const bool flip = constraint.relation == Relation::kGe;
     SparseRow row;
     row.reserve(constraint.lhs.terms().size() + 1);
@@ -406,7 +419,7 @@ class SparseTableau {
       // stays exact even if that invariant ever drifts.
       const TwoTierRational* diagonal = Find(rows_[pivot_row], col);
       if (diagonal != nullptr) factor /= *diagonal;
-      RowSubMul(&row, factor, rows_[pivot_row]);
+      RowSubMul(&row, factor, rows_[pivot_row], &workspace->merged);
       rhs.SubMul(factor, rhs_[pivot_row]);
     }
 
@@ -440,8 +453,8 @@ class SparseTableau {
   // defensively): the caller falls back to a cold solve.
   // Observes the same deadline/fault contract as Optimize; when either
   // out-flag is set the status carries no verdict.
-  DualStatus DualReoptimize(int64_t* pivots, const Deadline& deadline,
-                            bool* deadline_exceeded,
+  DualStatus DualReoptimize(Workspace* workspace, int64_t* pivots,
+                            const Deadline& deadline, bool* deadline_exceeded,
                             bool* resource_exhausted) {
     PeriodicDeadlineCheck check(deadline, /*stride=*/16);
     const int64_t valve = 32 + static_cast<int64_t>(num_rows_) + num_cols_;
@@ -480,7 +493,8 @@ class SparseTableau {
         }
       }
       if (entering < 0) return DualStatus::kInfeasible;
-      Pivot(leaving, entering);
+      GatherColumn(entering, workspace);
+      Pivot(leaving, entering, workspace);
       ++*pivots;
       ++steps;
     }
@@ -502,37 +516,52 @@ class SparseTableau {
     return &it->second;
   }
 
-  // target -= factor * src, as one sorted merge walk. Exact
-  // cancellations are dropped, so fill-in only happens where the
-  // combined entry is genuinely nonzero.
+  // Collects the rows with a nonzero cell in column `col`, with that
+  // cell's position, into workspace->column.
+  void GatherColumn(int col, Workspace* workspace) const {
+    workspace->column.clear();
+    for (int i = 0; i < num_rows_; ++i) {
+      auto it = LowerBound(rows_[i], col);
+      if (it != rows_[i].end() && it->first == col && !it->second.is_zero()) {
+        workspace->column.emplace_back(
+            i, static_cast<int>(it - rows_[i].begin()));
+      }
+    }
+  }
+
+  // target -= factor * src, as one sorted merge walk into `merged`,
+  // which then swaps with the target: the buffers circulate between
+  // rows instead of being allocated per update. Exact cancellations are
+  // dropped, so fill-in only happens where the combined entry is
+  // genuinely nonzero.
   static void RowSubMul(SparseRow* target, const TwoTierRational& factor,
-                        const SparseRow& src) {
-    SparseRow result;
-    result.reserve(target->size() + src.size());
+                        const SparseRow& src, SparseRow* merged) {
+    merged->clear();
+    merged->reserve(target->size() + src.size());
     auto t = target->begin();
     auto s = src.begin();
     while (t != target->end() || s != src.end()) {
       if (s == src.end() || (t != target->end() && t->first < s->first)) {
-        result.push_back(std::move(*t));
+        merged->push_back(std::move(*t));
         ++t;
       } else if (t == target->end() || s->first < t->first) {
         // 0 - factor*src: the product of nonzero rationals is nonzero.
-        TwoTierRational value = factor;
-        value *= s->second;
-        value.Negate();
-        result.emplace_back(s->first, std::move(value));
+        TwoTierRational value;
+        value.SubMul(factor, s->second);
+        merged->emplace_back(s->first, std::move(value));
         ++s;
       } else {
         t->second.SubMul(factor, s->second);
-        if (!t->second.is_zero()) result.push_back(std::move(*t));
+        if (!t->second.is_zero()) merged->push_back(std::move(*t));
         ++t;
         ++s;
       }
     }
-    target->swap(result);
+    target->swap(*merged);
   }
 
-  void Pivot(int pivot_row, int pivot_col) {
+  // Requires workspace->column gathered for `pivot_col`.
+  void Pivot(int pivot_row, int pivot_col, Workspace* workspace) {
     SparseRow& prow = rows_[pivot_row];
     const int leaving = basis_[pivot_row];
     if (leaving >= artificial_base_ && leaving < artificial_end_) {
@@ -552,13 +581,11 @@ class SparseTableau {
     for (Cell& cell : prow) cell.second /= pivot_value;
     rhs_[pivot_row] /= pivot_value;
     // Eliminate the pivot column from the other rows.
-    for (int i = 0; i < num_rows_; ++i) {
+    for (const auto& [i, position] : workspace->column) {
       if (i == pivot_row) continue;
-      const TwoTierRational* entry = Find(rows_[i], pivot_col);
-      if (entry == nullptr || entry->is_zero()) continue;
       // Copy: RowSubMul rebuilds the row the factor points into.
-      TwoTierRational factor = *entry;
-      RowSubMul(&rows_[i], factor, prow);
+      TwoTierRational factor = rows_[i][position].second;
+      RowSubMul(&rows_[i], factor, prow, &workspace->merged);
       rhs_[i].SubMul(factor, rhs_[pivot_row]);
     }
     // Reduced-cost row: same elimination against the dense cost row.
@@ -593,7 +620,8 @@ class SparseTableau {
 }  // namespace simplex_detail
 
 // Definition of the header's opaque warm-state handle: a finished
-// sparse tableau, immutable once wrapped in shared_ptr<const>.
+// sparse tableau. ResolveLp copies it, or takes it when it holds the
+// last reference.
 struct SimplexWarmState {
   simplex_detail::SparseTableau tableau;
 };
@@ -629,9 +657,16 @@ SimplexResult RunWithTableau(int num_vars,
       return result;
     }
   }
-  result.feasible =
-      tableau.Optimize(&result.pivots, deadline, &result.deadline_exceeded,
-                       &result.resource_exhausted);
+  if constexpr (std::is_same_v<TableauT, SparseTableau>) {
+    SparseTableau::Workspace workspace;
+    result.feasible = tableau.Optimize(&workspace, &result.pivots, deadline,
+                                       &result.deadline_exceeded,
+                                       &result.resource_exhausted);
+  } else {
+    result.feasible =
+        tableau.Optimize(&result.pivots, deadline, &result.deadline_exceeded,
+                         &result.resource_exhausted);
+  }
   if (result.deadline_exceeded) {
     result.feasible = false;
     trace::Count("simplex/deadline_exceeded");
@@ -649,7 +684,7 @@ SimplexResult RunWithTableau(int num_vars,
   if (!result.feasible) trace::Count("simplex/infeasible");
   if constexpr (std::is_same_v<TableauT, SparseTableau>) {
     if (result.feasible && options.export_warm_state) {
-      result.warm_state = std::make_shared<const SimplexWarmState>(
+      result.warm_state = std::make_shared<SimplexWarmState>(
           SimplexWarmState{std::move(tableau)});
     }
   }
@@ -690,7 +725,7 @@ SimplexResult SolveLpDense(int num_vars,
                                       /*budget=*/nullptr, SimplexOptions{});
 }
 
-SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
+SimplexResult ResolveLp(std::shared_ptr<SimplexWarmState> parent,
                         const std::vector<LinearConstraint>& base,
                         const std::vector<LinearConstraint>& extra, int delta,
                         int num_vars, const Deadline& deadline,
@@ -714,9 +749,15 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   SimplexResult result;
   int64_t warm_pivots = 0;
   {
-    SparseTableau tableau(parent->tableau);  // deep copy
+    // The last reference takes the parent's tableau; any other copies
+    // it, leaving the snapshot to its remaining holders.
+    SparseTableau tableau = parent.use_count() == 1
+                                ? std::move(parent->tableau)
+                                : SparseTableau(parent->tableau);
+    parent.reset();
+    SparseTableau::Workspace workspace;
     for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
-      tableau.AppendRelaxedRow(extra[i]);
+      tableau.AppendRelaxedRow(extra[i], &workspace);
     }
     std::optional<ScopedMemoryCharge> charge;
     if (budget != nullptr) {
@@ -729,7 +770,7 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
       }
     }
     SparseTableau::DualStatus dual = tableau.DualReoptimize(
-        &result.pivots, deadline, &result.deadline_exceeded,
+        &workspace, &result.pivots, deadline, &result.deadline_exceeded,
         &result.resource_exhausted);
     trace::Count("simplex/dual_pivots", result.pivots);
     if (result.deadline_exceeded) {
@@ -750,7 +791,7 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
         // single optimality scan deciding objective == 0; it only
         // pivots further on the defensive not-dual-feasible path.
         result.feasible =
-            tableau.Optimize(&result.pivots, deadline,
+            tableau.Optimize(&workspace, &result.pivots, deadline,
                              &result.deadline_exceeded,
                              &result.resource_exhausted);
         if (result.deadline_exceeded) {
@@ -771,7 +812,7 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
       trace::Count("simplex/pivots", result.pivots);
       if (!result.feasible) trace::Count("simplex/infeasible");
       if (result.feasible && options.export_warm_state) {
-        result.warm_state = std::make_shared<const SimplexWarmState>(
+        result.warm_state = std::make_shared<SimplexWarmState>(
             SimplexWarmState{std::move(tableau)});
       }
       return result;

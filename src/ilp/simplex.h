@@ -30,9 +30,12 @@ namespace xmlverify {
 /// warm-start the re-solve of a nearby system (same rows plus a few
 /// extra bounds) through a short dual-simplex run instead of a
 /// from-scratch phase-1. Produced on request
-/// (SimplexOptions::export_warm_state); immutable once built,
-/// so siblings in a branch-and-bound tree — including ones solved on
-/// different threads — may share one snapshot.
+/// (SimplexOptions::export_warm_state). Siblings in a branch-and-bound
+/// tree share one snapshot through its reference count, and it is not
+/// immutable: ResolveLp copies the tableau while other references
+/// remain, and moves it out when handed the last one (see ResolveLp).
+/// Hold a snapshot only through shared_ptr copies, never through a
+/// weak_ptr, raw pointer or reference that could outlive them.
 struct SimplexWarmState;
 
 /// Approximate resident footprint of a warm-state snapshot.
@@ -64,7 +67,7 @@ struct SimplexResult {
   std::string note;
   // Final tableau of a feasible solve, when
   // SimplexOptions::export_warm_state asked for it.
-  std::shared_ptr<const SimplexWarmState> warm_state;
+  std::shared_ptr<SimplexWarmState> warm_state;
   // ResolveLp only: the verdict came from the warm dual re-solve.
   bool warm_used = false;
   // ResolveLp only: the warm path was unusable (equality delta row,
@@ -99,7 +102,7 @@ SimplexResult SolveLpDense(int num_vars,
 /// of `extra`. The rows are passed in two parts so that a warm re-solve
 /// never copies `base`: it reads only the delta rows, and the two parts
 /// are joined only for a cold fallback. Each inequality delta row is
-/// appended to a copy of the parent's final tableau with its slack
+/// appended to the parent's final tableau with its slack
 /// basic — no artificials, so the parent's phase-1 optimality is
 /// preserved as dual feasibility — and a Bland-rule dual simplex
 /// restores primal feasibility in typically a handful of pivots. Falls
@@ -109,7 +112,12 @@ SimplexResult SolveLpDense(int num_vars,
 /// valve. Either way the result is exactly equivalent to a
 /// cold solve in its feasibility verdict, and observes the same
 /// deadline, budget, and fault-injection contracts as SolveLp.
-SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
+/// `parent` is taken by value. The warm path works on a copy of the
+/// parent's tableau while other references to the snapshot remain;
+/// when `parent` is the last one (branch and bound moves it in for the
+/// second sibling in depth-first order), it moves the tableau out
+/// instead, and the emptied snapshot goes away with the reference.
+SimplexResult ResolveLp(std::shared_ptr<SimplexWarmState> parent,
                         const std::vector<LinearConstraint>& base,
                         const std::vector<LinearConstraint>& extra, int delta,
                         int num_vars, const Deadline& deadline = Deadline(),

@@ -27,9 +27,11 @@ struct SearchNode {
   // the delta against the parent's tableau for dual-simplex warm
   // starts (0 at the root: no parent, cold solve).
   int delta = 0;
-  // The parent's final LP tableau (sparse engine only), shared between
-  // siblings; SimplexWarmState is immutable.
-  std::shared_ptr<const SimplexWarmState> warm;
+  // The parent's final LP tableau, shared between siblings. The first
+  // sibling's re-solve copies it; the second one holds the last
+  // reference by then and hands it to ResolveLp, which takes the
+  // tableau instead of copying it.
+  std::shared_ptr<SimplexWarmState> warm;
 };
 
 LinearConstraint VarBound(VarId var, Relation relation, BigInt bound,
@@ -140,7 +142,7 @@ std::optional<SearchStop> ProcessNode(SearchContext& ctx, SearchNode&& node,
 
   SimplexResult lp;
   if (ctx.options.warm_start && node.warm != nullptr && node.delta > 0) {
-    lp = ResolveLp(node.warm, ctx.base, node.extra, node.delta,
+    lp = ResolveLp(std::move(node.warm), ctx.base, node.extra, node.delta,
                    ctx.search_vars, ctx.options.deadline, &ctx.options.budget,
                    ctx.simplex_options);
     if (lp.warm_used) trace::Count("solver/warm_starts");

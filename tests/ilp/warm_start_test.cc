@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -280,6 +281,45 @@ TEST(WarmStartTest, RandomizedSweepAgreesWithCold) {
   // Both verdicts occur.
   EXPECT_GT(large_infeasible, kLargeTrials / 10);
   EXPECT_LT(large_infeasible, kLargeTrials * 9 / 10);
+}
+
+// Siblings share their parent's snapshot. A re-solve while another
+// reference remains copies the tableau and leaves the snapshot intact;
+// a re-solve handed the last reference takes the tableau instead, and
+// must reach exactly the result of the copy.
+TEST(WarmStartTest, LastReferenceTakesTheTableauWithTheSameResult) {
+  uint64_t lp_state = 0x3c6ef372fe94f82bull;
+  int warm_taken = 0;
+  const int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    RandomLpShape shape;
+    shape.planted = true;
+    RandomLp lp = GenerateRandomLp(&lp_state, shape);
+    SimplexResult parent =
+        SolveLp(lp.num_vars, lp.rows, Deadline(), nullptr, Exporting());
+    ASSERT_TRUE(parent.feasible) << "trial " << trial;
+    ASSERT_NE(parent.warm_state, nullptr);
+    std::vector<LinearConstraint> extra =
+        BranchDelta(lp, parent.solution, &lp_state);
+    const int delta = static_cast<int>(extra.size());
+    const int64_t bytes = WarmStateBytes(*parent.warm_state);
+
+    std::shared_ptr<SimplexWarmState> sibling = parent.warm_state;
+    SimplexResult copied =
+        ResolveLp(sibling, lp.rows, extra, delta, lp.num_vars);
+    ASSERT_NE(sibling, nullptr);
+    EXPECT_EQ(WarmStateBytes(*sibling), bytes) << "trial " << trial;
+    sibling.reset();
+    SimplexResult taken = ResolveLp(std::move(parent.warm_state), lp.rows,
+                                    extra, delta, lp.num_vars);
+    EXPECT_EQ(parent.warm_state, nullptr);
+    ASSERT_EQ(taken.feasible, copied.feasible) << "trial " << trial;
+    EXPECT_EQ(taken.warm_used, copied.warm_used) << "trial " << trial;
+    EXPECT_EQ(taken.pivots, copied.pivots) << "trial " << trial;
+    EXPECT_EQ(taken.solution, copied.solution) << "trial " << trial;
+    if (taken.warm_used) ++warm_taken;
+  }
+  EXPECT_GT(warm_taken, kTrials * 9 / 10);
 }
 
 // Solver-level agreement: warm starts may route the search through
