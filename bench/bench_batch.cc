@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "base/string_util.h"
 #include "batch/batch_runner.h"
 #include "trace/trace.h"
 
@@ -29,7 +30,7 @@ std::string MakeSpec(int kinds, bool consistent) {
   std::string dtd = "<!ELEMENT school (";
   if (!consistent) dtd += "s0, s0, ";
   for (int k = 0; k < kinds; ++k) {
-    dtd += "s" + std::to_string(k) + "*, ";
+    dtd += StrCat("s", std::to_string(k), "*, ");
   }
   dtd += consistent ? "course*" : "course";
   dtd += ")>\n";
@@ -39,7 +40,7 @@ std::string MakeSpec(int kinds, bool consistent) {
   dtd += "<!ATTLIST course cid>\n";
   std::string constraints;
   for (int k = 0; k < kinds; ++k) {
-    const std::string s = "s" + std::to_string(k);
+    const std::string s = StrCat("s", std::to_string(k));
     constraints += s + ".sid -> " + s + "\n";
     constraints += "fk " + s + ".sid <= course.cid\n";
   }

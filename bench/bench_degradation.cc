@@ -11,6 +11,7 @@
 //     through the exact path and through the ladder's bounded rung.
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "core/consistency.h"
 #include "ilp/solver.h"
 
@@ -21,7 +22,7 @@ IntegerProgram KnapsackProgram(int n) {
   IntegerProgram program;
   LinearExpr sum;
   for (int v = 0; v < n; ++v) {
-    VarId var = program.NewVariable("x" + std::to_string(v));
+    VarId var = program.NewVariable(StrCat("x", std::to_string(v)));
     program.SetUpperBound(var, BigInt(1));
     sum.Add(var, BigInt(2 * v + 3));
   }
@@ -58,14 +59,14 @@ Specification WideSpec(int width) {
   std::string dtd = "<!ELEMENT r (";
   for (int i = 0; i < width; ++i) {
     if (i > 0) dtd += ", ";
-    dtd += "a" + std::to_string(i) + "+";
+    dtd += StrCat("a", std::to_string(i), "+");
   }
   dtd += ")>\n";
   std::string constraints;
   for (int i = 0; i < width; ++i) {
     dtd += "<!ATTLIST a" + std::to_string(i) + " v>\n";
-    constraints += "a" + std::to_string(i) + ".v -> a" + std::to_string(i) +
-                   "\n";
+    constraints += StrCat("a", std::to_string(i), ".v -> a", std::to_string(i),
+                          "\n");
   }
   return Specification::Parse(dtd, constraints).ValueOrDie();
 }

@@ -13,6 +13,7 @@
 // searcher is the only tool; BM_UndecidableBounded shows its cost.
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "core/brute_force.h"
 #include "core/consistency.h"
@@ -82,7 +83,7 @@ void BM_KeyWidth(benchmark::State& state) {
   for (int a = 0; a < k; ++a) {
     attrs += " a" + std::to_string(a);
     if (a > 0) keys += ",";
-    keys += "a" + std::to_string(a);
+    keys += StrCat("a", std::to_string(a));
     constraints += "fk p.a" + std::to_string(a) + " <= q.v\n";
   }
   keys += "] -> p\n";

@@ -9,6 +9,7 @@
 //     chains), scaling near-polynomially — typical inputs are easy.
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "core/consistency.h"
 #include "reductions/cnf.h"
@@ -67,7 +68,7 @@ void BM_WideConsistentChain(benchmark::State& state) {
   std::string constraints;
   for (int t = 0; t < width; ++t) {
     if (t > 0) dtd_text += ",";
-    dtd_text += "t" + std::to_string(t) + "+";
+    dtd_text += StrCat("t", std::to_string(t), "+");
   }
   dtd_text += ")>\n";
   for (int t = 0; t < width; ++t) {

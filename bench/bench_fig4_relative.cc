@@ -7,6 +7,7 @@
 //     Theorem 4.4 QBF reduction (2-local instances).
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "core/brute_force.h"
 #include "core/consistency.h"
@@ -29,9 +30,9 @@ Specification NestedScopes(int levels) {
   dtd_text += "<!ELEMENT s" + std::to_string(levels) + " EMPTY>\n";
   for (int level = 1; level <= levels; ++level) {
     dtd_text += "<!ATTLIST s" + std::to_string(level) + " v>\n";
-    constraints += "s" + std::to_string(level - 1) + "(s" +
-                   std::to_string(level) + ".v -> s" +
-                   std::to_string(level) + ")\n";
+    constraints += StrCat("s", std::to_string(level - 1), "(s",
+                          std::to_string(level), ".v -> s",
+                          std::to_string(level), ")\n");
   }
   return Specification::Parse(dtd_text, constraints).ValueOrDie();
 }

@@ -7,6 +7,7 @@
 //     the z_theta machinery.
 #include <benchmark/benchmark.h>
 
+#include "base/string_util.h"
 #include "bench/bench_util.h"
 #include "core/implication.h"
 #include "core/specification.h"
@@ -23,21 +24,21 @@ void BM_ChainImplication(benchmark::State& state) {
   std::string constraints;
   for (int t = 0; t < length; ++t) {
     if (t > 0) dtd_text += ",";
-    dtd_text += "t" + std::to_string(t) + "+";
+    dtd_text += StrCat("t", std::to_string(t), "+");
   }
   dtd_text += ")>\n";
   for (int t = 0; t < length; ++t) {
     dtd_text += "<!ATTLIST t" + std::to_string(t) + " v>\n";
     if (t + 1 < length) {
-      constraints += "t" + std::to_string(t) + ".v <= t" +
-                     std::to_string(t + 1) + ".v\n";
+      constraints += StrCat("t", std::to_string(t), ".v <= t",
+                            std::to_string(t + 1), ".v\n");
     }
   }
   Specification spec =
       Specification::Parse(dtd_text, constraints).ValueOrDie();
   int first = spec.dtd.TypeId("t0").ValueOrDie();
   int last =
-      spec.dtd.TypeId("t" + std::to_string(length - 1)).ValueOrDie();
+      spec.dtd.TypeId(StrCat("t", std::to_string(length - 1))).ValueOrDie();
   ImplicationVerdict verdict;
   BenchTrace trace(state);
   for (auto _ : state) {

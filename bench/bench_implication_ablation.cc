@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/implication_engine.h"
 #include "core/specification.h"
 #include "regex/regex.h"
@@ -63,14 +64,14 @@ Question ChainQuestion(int length) {
   std::string constraints;
   for (int t = 0; t < length; ++t) {
     if (t > 0) dtd_text += ",";
-    dtd_text += "t" + std::to_string(t) + "+";
+    dtd_text += StrCat("t", std::to_string(t), "+");
   }
   dtd_text += ")>\n";
   for (int t = 0; t < length; ++t) {
     dtd_text += "<!ATTLIST t" + std::to_string(t) + " v>\n";
     if (t + 1 < length) {
-      constraints += "t" + std::to_string(t) + ".v <= t" +
-                     std::to_string(t + 1) + ".v\n";
+      constraints += StrCat("t", std::to_string(t), ".v <= t",
+                            std::to_string(t + 1), ".v\n");
     }
   }
   Question question;
@@ -78,7 +79,7 @@ Question ChainQuestion(int length) {
   question.rule = "closure";
   question.spec = Specification::Parse(dtd_text, constraints).ValueOrDie();
   int first = question.spec.dtd.TypeId("t0").ValueOrDie();
-  int last = question.spec.dtd.TypeId("t" + std::to_string(length - 1))
+  int last = question.spec.dtd.TypeId(StrCat("t", std::to_string(length - 1)))
                  .ValueOrDie();
   AbsoluteInclusion phi{first, {"v"}, last, {"v"}};
   question.ask = [spec = question.spec,

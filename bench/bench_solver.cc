@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include "base/bigint.h"
+#include "base/string_util.h"
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
 
@@ -110,7 +111,7 @@ IntegerProgram Knapsack(int n) {
   IntegerProgram program;
   LinearExpr sum;
   for (int v = 0; v < n; ++v) {
-    VarId var = program.NewVariable("x" + std::to_string(v));
+    VarId var = program.NewVariable(StrCat("x", std::to_string(v)));
     program.SetUpperBound(var, BigInt(1));
     sum.Add(var, BigInt(2 * v + 3));
   }
@@ -188,7 +189,7 @@ void BigCoefficientsBench(benchmark::State& state, SolverOptions options) {
   constexpr int kTail = 6;
   std::vector<VarId> tail;
   for (int v = 0; v < kTail; ++v) {
-    tail.push_back(program.NewVariable("t" + std::to_string(v)));
+    tail.push_back(program.NewVariable(StrCat("t", std::to_string(v))));
   }
   for (int v = 0; v + 1 < kTail; ++v) {
     LinearExpr row;

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/consistency.h"
 #include "core/specification.h"
 #include "ilp/solver.h"
@@ -63,7 +64,7 @@ Specification KeyWidthSpec(int k) {
   for (int a = 0; a < k; ++a) {
     attrs += " a" + std::to_string(a);
     if (a > 0) keys += ",";
-    keys += "a" + std::to_string(a);
+    keys += StrCat("a", std::to_string(a));
     constraints += "fk p.a" + std::to_string(a) + " <= q.v\n";
   }
   keys += "] -> p\n";
@@ -80,7 +81,7 @@ IntegerProgram KnapsackProgram(int n) {
   IntegerProgram program;
   LinearExpr sum;
   for (int v = 0; v < n; ++v) {
-    VarId var = program.NewVariable("x" + std::to_string(v));
+    VarId var = program.NewVariable(StrCat("x", std::to_string(v)));
     program.SetUpperBound(var, BigInt(1));
     sum.Add(var, BigInt(2 * v + 3));
   }

@@ -11,7 +11,7 @@ namespace {
 
 std::string AttrList(const std::vector<std::string>& attributes) {
   if (attributes.size() == 1) return "." + attributes[0];
-  return "[" + Join(attributes, ",") + "]";
+  return StrCat("[", Join(attributes, ","), "]");
 }
 
 std::string PathString(const Regex& path, const Dtd& dtd) {

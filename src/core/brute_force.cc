@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 
+#include "base/string_util.h"
 #include "checker/document_checker.h"
 #include "trace/trace.h"
 #include "xml/validator.h"
@@ -179,7 +180,7 @@ class BoundedSearcher {
       XmlTree candidate = structure;
       for (size_t i = 0; i < slots.size(); ++i) {
         candidate.SetAttribute(slots[i].first, slots[i].second,
-                               "p" + std::to_string(odometer[i] + 1));
+                               StrCat("p", std::to_string(odometer[i] + 1)));
       }
       if (Conforms(candidate, dtd_) && accept_(candidate)) {
         found_ = std::move(candidate);

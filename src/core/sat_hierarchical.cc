@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "base/string_util.h"
 #include "checker/document_checker.h"
 #include "constraints/relative_geometry.h"
 #include "core/sat_absolute.h"
@@ -48,7 +49,7 @@ class HierarchicalChecker {
   // the witnesses of its context leaves. `instance` makes value pools
   // of distinct scope instances disjoint.
   Result<XmlTree> BuildScopeWitness(int tau, const std::set<int>& contexts) {
-    std::string prefix = "s" + std::to_string(instance_counter_++) + "_";
+    std::string prefix = StrCat("s", std::to_string(instance_counter_++), "_");
     ASSIGN_OR_RETURN(ConsistencyVerdict verdict,
                      SolveScope(tau, contexts, /*build_witness=*/true, prefix));
     if (!verdict.consistent() || !verdict.witness.has_value()) {

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "base/string_util.h"
 #include "core/canonical.h"
 #include "regex/regex.h"
 #include "trace/trace.h"
@@ -92,7 +93,7 @@ DtdPlan PlanDtd(Rng* rng, const SpecGeneratorOptions& options) {
   int num_types = 1 + num_extra;
   plan.names.push_back("r");
   for (int i = 0; i < num_extra; ++i) {
-    plan.names.push_back("t" + std::to_string(i));
+    plan.names.push_back(StrCat("t", std::to_string(i)));
   }
   // Every type gets attribute "a", half also get "b": enough raw
   // material for unary and multi-attribute constraints alike.

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "base/string_util.h"
 #include "trace/trace.h"
 
 namespace xmlverify {
@@ -195,7 +196,7 @@ Result<DtdFlowSystem> DtdFlowSystem::Build(const Dtd& dtd, ProductDfa* product,
     const BigInt big_m(num_kinds + 1);
     std::vector<VarId> distance(num_kinds, -1);
     for (int kind = 0; kind < num_kinds; ++kind) {
-      distance[kind] = program->NewVariable("z" + std::to_string(kind));
+      distance[kind] = program->NewVariable(StrCat("z", std::to_string(kind)));
       program->SetUpperBound(distance[kind], BigInt(num_kinds));
     }
     // Root distance zero.
@@ -205,8 +206,8 @@ Result<DtdFlowSystem> DtdFlowSystem::Build(const Dtd& dtd, ProductDfa* product,
                        "conn-root");
     std::vector<LinearExpr> marked_incoming(num_kinds);
     for (const KindEdge& edge : edges) {
-      VarId marker = program->NewVariable("w" + std::to_string(edge.parent) +
-                                          "_" + std::to_string(edge.child));
+      VarId marker = program->NewVariable(StrCat(
+          "w", std::to_string(edge.parent), "_", std::to_string(edge.child)));
       program->SetUpperBound(marker, BigInt(1));
       // Marked edges must carry flow: w <= contribution.
       LinearExpr flow_bound;

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "base/string_util.h"
 #include "trace/trace.h"
 
 namespace xmlverify {
@@ -265,7 +266,7 @@ Result<std::unique_ptr<RegularEncoder>> RegularEncoder::Build(
   encoder->cell_vars_.reserve(num_masks - 1);
   for (size_t mask = 1; mask < num_masks; ++mask) {
     encoder->cell_vars_.push_back(
-        program->NewVariable("z" + std::to_string(mask)));
+        program->NewVariable(StrCat("z", std::to_string(mask))));
   }
   auto cell = [&encoder](size_t mask) { return encoder->cell_vars_[mask - 1]; };
 
@@ -563,7 +564,7 @@ Result<XmlTree> RegularEncoder::BuildWitness(
     }
     for (int64_t v = 0; v < *count64; ++v) {
       PoolValue value;
-      value.text = "m" + std::to_string(mask) + "_v" + std::to_string(v);
+      value.text = StrCat("m", std::to_string(mask), "_v", std::to_string(v));
       value.mask = mask;
       for (int i = 0; i < k; ++i) {
         if (mask & (size_t{1} << i)) value.uncovered.insert(i);

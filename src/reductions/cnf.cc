@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 namespace {
@@ -130,7 +132,7 @@ std::string CnfFormula::ToString() const {
     for (size_t i = 0; i < clause.size(); ++i) {
       if (i > 0) out += " | ";
       if (clause[i] < 0) out += "!";
-      out += "x" + std::to_string(std::abs(clause[i]));
+      out += StrCat("x", std::to_string(std::abs(clause[i])));
     }
     out += ")";
   }

@@ -3,14 +3,16 @@
 #include <cstdlib>
 #include <set>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 Result<Specification> CnfToDepth2Spec(const CnfFormula& formula) {
   // Element type names.
-  auto pos_var = [](int v) { return "x" + std::to_string(v); };
+  auto pos_var = [](int v) { return StrCat("x", std::to_string(v)); };
   auto neg_var = [](int v) { return "nx" + std::to_string(v); };
   auto pos_lit = [](int c, int v) {
-    return "c" + std::to_string(c) + "_" + std::to_string(v);
+    return StrCat("c", std::to_string(c), "_", std::to_string(v));
   };
   auto neg_lit = [](int c, int v) {
     return "nc" + std::to_string(c) + "_" + std::to_string(v);
@@ -47,7 +49,7 @@ Result<Specification> CnfToDepth2Spec(const CnfFormula& formula) {
   }
   for (int v = 1; v <= formula.num_variables; ++v) {
     if (!root_content.empty()) root_content += ",";
-    root_content += "(" + pos_var(v) + "|" + neg_var(v) + ")";
+    root_content += StrCat("(", pos_var(v), "|", neg_var(v), ")");
   }
   builder.SetContent("r", root_content);
   for (const std::string& name : names) {

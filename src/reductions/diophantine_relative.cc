@@ -1,5 +1,7 @@
 #include "reductions/diophantine_relative.h"
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 int64_t QuadraticEquation::Imbalance(const std::vector<int64_t>& values) const {
@@ -74,7 +76,7 @@ Result<Specification> QuadraticEquationToRelativeSpec(
   if (equation.constant < 0) {
     return Status::InvalidArgument("constant must be nonnegative");
   }
-  auto n_name = [](int i) { return "n" + std::to_string(i); };
+  auto n_name = [](int i) { return StrCat("n", std::to_string(i)); };
   SideNames lhs{"a", "X"};
   SideNames rhs{"g", "Y"};
 
@@ -136,14 +138,14 @@ Result<Specification> QuadraticEquationToRelativeSpec(
       // P(alpha_t) = (beta_t, c_t, c_t, target^{a_t})*, alpha'_t.
       builder.SetContent(
           side.Alpha(t),
-          "(" + side.Beta(t) + "," + side.C(t) + "," + side.C(t) + "," +
-              Repeat(side.target, quadratic[t].coefficient) + ")*," +
-              side.AlphaPrime(t));
+          StrCat("(", side.Beta(t), ",", side.C(t), ",", side.C(t), ",",
+                 Repeat(side.target, quadratic[t].coefficient), ")*,",
+                 side.AlphaPrime(t)));
       // P(alpha'_t) = (beta_t, d_t, d_t)*, (alpha_t | (c_t, e_t)*).
       builder.SetContent(
           side.AlphaPrime(t),
-          "(" + side.Beta(t) + "," + side.D(t) + "," + side.D(t) + ")*,(" +
-              side.Alpha(t) + "|(" + side.C(t) + "," + side.E(t) + ")*)");
+          StrCat("(", side.Beta(t), ",", side.D(t), ",", side.D(t), ")*,(",
+                 side.Alpha(t), "|(", side.C(t), ",", side.E(t), ")*)"));
     }
   };
   build_side(lhs, equation.lhs_linear, equation.lhs_quadratic);

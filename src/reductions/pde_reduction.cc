@@ -1,5 +1,7 @@
 #include "reductions/pde_reduction.h"
 
+#include "base/string_util.h"
+
 #include "ilp/linear.h"
 
 namespace xmlverify {
@@ -46,7 +48,7 @@ Result<SolveResult> SolvePde(const PdeSystem& system,
   RETURN_IF_ERROR(system.Validate());
   IntegerProgram program;
   for (int i = 0; i < system.num_variables; ++i) {
-    program.NewVariable("x" + std::to_string(i));
+    program.NewVariable(StrCat("x", std::to_string(i)));
   }
   for (const PdeSystem::LinearRow& row : system.rows) {
     LinearExpr lhs;
@@ -73,18 +75,18 @@ Result<Specification> PdeToSpec(const PdeSystem& system) {
     return system.rows[j].coefficients[i];
   };
 
-  auto x_name = [](int i) { return "X" + std::to_string(i); };
+  auto x_name = [](int i) { return StrCat("X", std::to_string(i)); };
   auto cx_name = [](int i, int j) {
     return "CX" + std::to_string(i) + "_" + std::to_string(j);
   };
   auto dx_name = [](int i, int j) {
     return "DX" + std::to_string(i) + "_" + std::to_string(j);
   };
-  auto e_name = [](int j) { return "E" + std::to_string(j); };
-  auto u_name = [](int j) { return "U" + std::to_string(j); };
-  auto b_name = [](int j) { return "B" + std::to_string(j); };
+  auto e_name = [](int j) { return StrCat("E", std::to_string(j)); };
+  auto u_name = [](int j) { return StrCat("U", std::to_string(j)); };
+  auto b_name = [](int j) { return StrCat("B", std::to_string(j)); };
   auto uij_name = [](int i, int j) {
-    return "U" + std::to_string(i) + "_" + std::to_string(j);
+    return StrCat("U", std::to_string(i), "_", std::to_string(j));
   };
   auto xp_name = [](int p) { return "XP" + std::to_string(p); };
   auto nxp_name = [](int p) { return "NXP" + std::to_string(p); };
@@ -153,7 +155,7 @@ Result<Specification> PdeToSpec(const PdeSystem& system) {
   // vacuous either way).
   for (int j = 0; j < m; ++j) {
     std::string content = system.rows[j].rhs == 0
-                              ? "(" + b_name(j) + "|%)"
+                              ? StrCat("(", b_name(j), "|%)")
                               : repeat(b_name(j), system.rows[j].rhs);
     for (int i = 0; i < n; ++i) {
       if (coef(j, i) > 0) append(&content, uij_name(i, j) + "*");

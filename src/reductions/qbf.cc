@@ -1,5 +1,7 @@
 #include "reductions/qbf.h"
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 namespace {
@@ -46,7 +48,7 @@ std::string QbfFormula::ToString() const {
   std::string out;
   for (size_t i = 0; i < existential.size(); ++i) {
     out += existential[i] ? "E" : "A";
-    out += "x" + std::to_string(i + 1) + ".";
+    out += StrCat("x", std::to_string(i + 1), ".");
   }
   return out + " " + matrix.ToString();
 }

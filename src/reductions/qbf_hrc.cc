@@ -2,19 +2,21 @@
 
 #include <cstdlib>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 Result<Specification> QbfTo2HrcSpec(const QbfFormula& formula) {
   const int m = formula.num_variables();
   if (m == 0) return Status::InvalidArgument("QBF has no variables");
-  auto pos = [](int i) { return "x" + std::to_string(i); };
+  auto pos = [](int i) { return StrCat("x", std::to_string(i)); };
   auto neg = [](int i) { return "nx" + std::to_string(i); };
   auto one = [](int i) { return "one" + std::to_string(i); };
   auto zero = [](int i) { return "zero" + std::to_string(i); };
-  auto a_mark = [](int i) { return "A" + std::to_string(i); };
-  auto b_mark = [](int i) { return "B" + std::to_string(i); };
-  auto n_spine = [](int i) { return "N" + std::to_string(i); };
-  auto p_spine = [](int i) { return "P" + std::to_string(i); };
+  auto a_mark = [](int i) { return StrCat("A", std::to_string(i)); };
+  auto b_mark = [](int i) { return StrCat("B", std::to_string(i)); };
+  auto n_spine = [](int i) { return StrCat("N", std::to_string(i)); };
+  auto p_spine = [](int i) { return StrCat("P", std::to_string(i)); };
 
   // Only literals occurring in the matrix become element types.
   std::vector<bool> pos_occurs(m + 1, false);
@@ -42,8 +44,8 @@ Result<Specification> QbfTo2HrcSpec(const QbfFormula& formula) {
   Dtd::Builder builder(names, "r");
   auto level_content = [&](int i) {
     return formula.existential[i - 1]
-               ? "(" + n_spine(i) + "|" + p_spine(i) + ")"
-               : "(" + n_spine(i) + "," + p_spine(i) + ")";
+               ? StrCat("(", n_spine(i), "|", p_spine(i), ")")
+               : StrCat("(", n_spine(i), ",", p_spine(i), ")");
   };
   builder.SetContent("r", level_content(1));
   for (int i = 1; i < m; ++i) {

@@ -2,15 +2,17 @@
 
 #include <cstdlib>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 Result<Specification> QbfToRegularSpec(const QbfFormula& formula) {
   const int m = formula.num_variables();
   if (m == 0) return Status::InvalidArgument("QBF has no variables");
-  auto pos = [](int i) { return "x" + std::to_string(i); };
+  auto pos = [](int i) { return StrCat("x", std::to_string(i)); };
   auto neg = [](int i) { return "nx" + std::to_string(i); };
-  auto n_spine = [](int i) { return "N" + std::to_string(i); };
-  auto p_spine = [](int i) { return "P" + std::to_string(i); };
+  auto n_spine = [](int i) { return StrCat("N", std::to_string(i)); };
+  auto p_spine = [](int i) { return StrCat("P", std::to_string(i)); };
 
   // Only literals occurring in the matrix become element types;
   // others would be disconnected from the root.
@@ -40,8 +42,8 @@ Result<Specification> QbfToRegularSpec(const QbfFormula& formula) {
   // (so r.C.C denotes the empty node set).
   auto level_content = [&](int i) {
     return formula.existential[i - 1]
-               ? "(" + n_spine(i) + "|" + p_spine(i) + ")"
-               : "(" + n_spine(i) + "," + p_spine(i) + ")";
+               ? StrCat("(", n_spine(i), "|", p_spine(i), ")")
+               : StrCat("(", n_spine(i), ",", p_spine(i), ")");
   };
   builder.SetContent("r", level_content(1) + ",C");
   for (int i = 1; i < m; ++i) {

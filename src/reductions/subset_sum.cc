@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 
 bool SubsetSumInstance::HasSolution() const {
@@ -35,9 +37,9 @@ Result<Specification> SubsetSumToSpec(const SubsetSumInstance& instance) {
     if (item <= 0) return Status::InvalidArgument("items must be positive");
   }
 
-  auto x_chain = [](int i) { return "X" + std::to_string(i); };
-  auto y_chain = [](int i) { return "Y" + std::to_string(i); };
-  auto v_item = [](size_t j) { return "V" + std::to_string(j + 1); };
+  auto x_chain = [](int i) { return StrCat("X", std::to_string(i)); };
+  auto y_chain = [](int i) { return StrCat("Y", std::to_string(i)); };
+  auto v_item = [](size_t j) { return StrCat("V", std::to_string(j + 1)); };
 
   int max_x_bit = HighestBit(instance.target);
   int max_y_bit = 0;

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "base/resource_guard.h"
+#include "base/string_util.h"
 
 namespace xmlverify {
 
@@ -401,7 +402,7 @@ std::string Regex::ToString(
 
 std::string Regex::CanonicalText() const {
   return Print(
-      *this, [](int symbol) { return "#" + std::to_string(symbol); }, 0);
+      *this, [](int symbol) { return StrCat("#", std::to_string(symbol)); }, 0);
 }
 
 Regex RemapSymbols(const Regex& regex, const std::function<int(int)>& map) {

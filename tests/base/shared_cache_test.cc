@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "base/string_util.h"
+
 namespace xmlverify {
 namespace {
 
@@ -49,7 +51,7 @@ TEST(SharedCacheTest, GetOrComputeComputesOnce) {
 
 TEST(SharedCacheTest, EpochEvictionClearsWhenFull) {
   SharedCache<int> cache(/*max_entries=*/4);
-  for (int i = 0; i < 4; ++i) cache.Insert("k" + std::to_string(i), i);
+  for (int i = 0; i < 4; ++i) cache.Insert(StrCat("k", std::to_string(i)), i);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.evictions(), 0u);
   cache.Insert("overflow", 99);  // new key at capacity: epoch clear
@@ -70,7 +72,7 @@ TEST(SharedCacheTest, ConcurrentInsertsAndLookupsAgree) {
     threads.emplace_back([&cache, t] {
       for (int round = 0; round < 50; ++round) {
         for (int k = 0; k < kKeys; ++k) {
-          std::string key = "k" + std::to_string(k);
+          std::string key = StrCat("k", std::to_string(k));
           std::shared_ptr<const int> value = cache.Lookup(key);
           if (value == nullptr) {
             // Every thread proposes its own value; whichever insert
@@ -87,7 +89,7 @@ TEST(SharedCacheTest, ConcurrentInsertsAndLookupsAgree) {
   EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
   // Whatever value won for k stays self-consistent.
   for (int k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(*cache.Lookup("k" + std::to_string(k)) / 1000, k);
+    EXPECT_EQ(*cache.Lookup(StrCat("k", std::to_string(k))) / 1000, k);
   }
 }
 

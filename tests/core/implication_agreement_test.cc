@@ -3,6 +3,7 @@
 // on small absolute specifications.
 #include <gtest/gtest.h>
 
+#include "base/string_util.h"
 #include "core/implication.h"
 #include "core/specification.h"
 #include "tests/test_util.h"
@@ -54,7 +55,7 @@ TEST_P(ImplicationAgreementSweep, FastPathMatchesGeneralMachinery) {
     if (g > 0) dtd_text += ",";
     int t = NextRandom(&state) % num_types;
     if (NextRandom(&state) % 2 == 0) {
-      dtd_text += "t" + std::to_string(t);
+      dtd_text += StrCat("t", std::to_string(t));
     } else {
       dtd_text += "(t" + std::to_string(t) + "|%)";
     }
@@ -69,8 +70,8 @@ TEST_P(ImplicationAgreementSweep, FastPathMatchesGeneralMachinery) {
     int t1 = NextRandom(&state) % num_types;
     int t2 = NextRandom(&state) % num_types;
     if (NextRandom(&state) % 2 == 0) {
-      constraints += "t" + std::to_string(t1) + ".v -> t" +
-                     std::to_string(t1) + "\n";
+      constraints += StrCat("t", std::to_string(t1), ".v -> t",
+                            std::to_string(t1), "\n");
     } else {
       constraints += "fk t" + std::to_string(t1) + ".v <= t" +
                      std::to_string(t2) + ".v\n";
@@ -82,8 +83,10 @@ TEST_P(ImplicationAgreementSweep, FastPathMatchesGeneralMachinery) {
   // Random phi: a key or an inclusion.
   int pt1 = NextRandom(&state) % num_types;
   int pt2 = NextRandom(&state) % num_types;
-  ASSERT_OK_AND_ASSIGN(int type1, spec.dtd.TypeId("t" + std::to_string(pt1)));
-  ASSERT_OK_AND_ASSIGN(int type2, spec.dtd.TypeId("t" + std::to_string(pt2)));
+  ASSERT_OK_AND_ASSIGN(int type1,
+                       spec.dtd.TypeId(StrCat("t", std::to_string(pt1))));
+  ASSERT_OK_AND_ASSIGN(int type2,
+                       spec.dtd.TypeId(StrCat("t", std::to_string(pt2))));
   if (NextRandom(&state) % 2 == 0) {
     AbsoluteKey phi{type1, {"v"}};
     ASSERT_OK_AND_ASSIGN(ImplicationVerdict fast,

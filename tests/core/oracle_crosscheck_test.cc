@@ -4,6 +4,7 @@
 // consistent; checker-inconsistent implies the search finds nothing.
 #include <gtest/gtest.h>
 
+#include "base/string_util.h"
 #include "core/brute_force.h"
 #include "core/sat_absolute.h"
 #include "core/sat_bounded.h"
@@ -33,7 +34,7 @@ Specification RandomSpec(uint64_t seed) {
     int t1 = NextRandom(&state) % num_types;
     switch (NextRandom(&state) % 3) {
       case 0:
-        dtd_text += "t" + std::to_string(t1);
+        dtd_text += StrCat("t", std::to_string(t1));
         break;
       case 1: {
         int t2 = NextRandom(&state) % num_types;
@@ -57,8 +58,8 @@ Specification RandomSpec(uint64_t seed) {
     int t1 = NextRandom(&state) % num_types;
     int t2 = NextRandom(&state) % num_types;
     if (NextRandom(&state) % 2 == 0) {
-      constraints += "t" + std::to_string(t1) + ".v -> t" +
-                     std::to_string(t1) + "\n";
+      constraints += StrCat("t", std::to_string(t1), ".v -> t",
+                            std::to_string(t1), "\n");
     } else {
       constraints += "fk t" + std::to_string(t1) + ".v <= t" +
                      std::to_string(t2) + ".v\n";

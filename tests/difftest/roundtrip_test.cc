@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/specification.h"
 #include "difftest/oracle.h"
 #include "difftest/spec_generator.h"
@@ -77,15 +78,15 @@ TEST(RoundTripTest, DeepAndWideTreesRoundTrip) {
   // Wide: many siblings under the root.
   for (int i = 0; i < 20; ++i) {
     NodeId child = tree.AddElement(tree.root(), 1);
-    tree.SetAttribute(child, "k", "w" + std::to_string(i));
-    tree.AddText(child, "t" + std::to_string(i));
+    tree.SetAttribute(child, "k", StrCat("w", std::to_string(i)));
+    tree.AddText(child, StrCat("t", std::to_string(i)));
   }
   // Deep: a chain of nested a-elements.
   NodeId cursor = tree.AddElement(tree.root(), 1);
   tree.SetAttribute(cursor, "k", "d0");
   for (int i = 1; i < 20; ++i) {
     cursor = tree.AddElement(cursor, 1);
-    tree.SetAttribute(cursor, "k", "d" + std::to_string(i));
+    tree.SetAttribute(cursor, "k", StrCat("d", std::to_string(i)));
   }
   tree.AddText(cursor, "bottom");
   ExpectRoundTrips(tree, dtd);

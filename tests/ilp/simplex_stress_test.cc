@@ -5,6 +5,7 @@
 // and on the encoders' LPs of generated specifications.
 #include <gtest/gtest.h>
 
+#include "base/string_util.h"
 #include "difftest/spec_generator.h"
 #include "encoding/cardinality.h"
 #include "encoding/flow_encoder.h"
@@ -34,7 +35,7 @@ TEST_P(RandomIlpSweep, SatSolutionsVerifyAndUnsatResistsSampling) {
 
   IntegerProgram program;
   for (int v = 0; v < num_vars; ++v) {
-    VarId var = program.NewVariable("x" + std::to_string(v));
+    VarId var = program.NewVariable(StrCat("x", std::to_string(v)));
     program.SetUpperBound(var, BigInt(bound));
   }
   struct Row {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/string_util.h"
 #include "serve/client.h"
 #include "tests/test_util.h"
 #include "trace/trace.h"
@@ -312,7 +313,7 @@ TEST_F(ServerTest, PipelinedRequestsOnOneConnection) {
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_OK(client.SendLine(
-        SpecRequest("p" + std::to_string(i), kConsistentSpec)));
+        SpecRequest(StrCat("p", std::to_string(i)), kConsistentSpec)));
   }
   client.FinishWriting();
   // Responses may arrive in any order; collect and match by id.
@@ -382,7 +383,7 @@ TEST_F(ServerTest, FullQueueShedsWithRetryableResponse) {
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) {
     ASSERT_OK(client.SendLine(
-        SpecRequest("b" + std::to_string(i), kConsistentSpec)));
+        SpecRequest(StrCat("b", std::to_string(i)), kConsistentSpec)));
   }
   client.FinishWriting();
   int verdicts = 0;
