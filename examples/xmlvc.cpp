@@ -13,6 +13,8 @@
 //       For an inconsistent specification, prints a minimal
 //       inconsistent core (drop any one of its constraints and a
 //       document exists).
+//   xmlvc simplify <spec.dtd> <constraints.txt>
+//       Drops the absolute unary constraints the others imply.
 //   xmlvc --batch <manifest>
 //       Checks every specification listed in the manifest (one per
 //       line: a combined .xvc path, or DTD and constraint paths) on a
@@ -25,6 +27,8 @@
 //   --jobs=N          batch worker threads (default: hardware threads)
 //   --timeout=MS      per-check wall-clock budget in milliseconds;
 //                     an expired check reports DEADLINE_EXCEEDED
+//                     (diagnose, simplify and --explain-core give
+//                     each of their probes the whole budget)
 //   --memory-limit=MB per-check tracked-allocation ceiling; exhaustion
 //                     reports RESOURCE_EXHAUSTED (exit 5), never a
 //                     definitive verdict
@@ -47,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "base/deadline.h"
 #include "base/fault_injection.h"
 #include "base/resource_guard.h"
 #include "base/string_util.h"
@@ -100,23 +103,12 @@ int Usage() {
   return 2;
 }
 
-// Budget-shaped global flags, threaded to every command.
+// Budget-shaped global flags, threaded to every command. Each check
+// (and each minimization or simplification) stamps `limits` afresh.
 struct BudgetFlags {
-  int64_t timeout_millis = 0;
-  int64_t memory_limit_bytes = 0;
-  int max_depth = 0;
+  CheckLimits limits;
   int retries = 0;
   bool explain_core = false;  // check: minimize a core on INCONSISTENT
-
-  ConsistencyChecker::Options MakeCheckerOptions() const {
-    ConsistencyChecker::Options options;
-    if (timeout_millis > 0) {
-      options.deadline = Deadline::AfterMillis(timeout_millis);
-    }
-    options.budget.set_memory_limit_bytes(memory_limit_bytes);
-    options.budget.set_max_depth(max_depth);
-    return options;
-  }
 };
 
 // Either two files (DTD + constraints) or one combined `.xvc` file
@@ -134,7 +126,7 @@ Result<Specification> LoadSpec(const std::string& dtd_path,
 
 int RunCheck(const Specification& spec, const std::string& witness_path,
              const BudgetFlags& budget) {
-  ConsistencyChecker checker(budget.MakeCheckerOptions());
+  ConsistencyChecker checker(OptionsForOneCheck(budget.limits));
   Result<ConsistencyVerdict> verdict = checker.Check(spec);
   if (!verdict.ok()) {
     std::fprintf(stderr, "error: %s\n", verdict.status().ToString().c_str());
@@ -144,10 +136,8 @@ int RunCheck(const Specification& spec, const std::string& witness_path,
   if (!verdict->note.empty()) std::printf("note: %s\n", verdict->note.c_str());
   if (budget.explain_core &&
       verdict->outcome == ConsistencyOutcome::kInconsistent) {
-    DiagnosisOptions diagnosis;
-    diagnosis.checker = budget.MakeCheckerOptions();
-    Result<ConstraintSet> core =
-        MinimizeInconsistentCore(spec.dtd, spec.constraints, diagnosis);
+    Result<ConstraintSet> core = MinimizeInconsistentCore(
+        spec.dtd, spec.constraints, OptionsForOneCheck(budget.limits));
     if (core.ok()) {
       std::printf("minimal inconsistent core (%d constraints):\n%s",
                   core->size(), core->ToString(spec.dtd).c_str());
@@ -196,12 +186,9 @@ int RunBatchCommand(const std::string& manifest_path, int jobs,
 
   BatchOptions options;
   options.jobs = jobs;
-  // The per-item deadline is derived from timeout_millis when a worker
-  // picks the item up, so the Deadline is not stamped here.
-  options.timeout_millis = budget.timeout_millis;
+  // Each item's limits are stamped when a worker picks it up.
+  options.limits = budget.limits;
   options.retries = budget.retries;
-  options.check.budget.set_memory_limit_bytes(budget.memory_limit_bytes);
-  options.check.budget.set_max_depth(budget.max_depth);
   options.stats = stats;
   BatchResult result = RunBatch(*entries, options);
 
@@ -315,8 +302,8 @@ int RunCommand(int argc, char** argv, const BudgetFlags& budget) {
   }
   if (command == "classify") return RunClassify(*spec);
   if (command == "simplify") {
-    Result<ConstraintSet> pruned =
-        RemoveRedundantConstraints(spec->dtd, spec->constraints);
+    Result<ConstraintSet> pruned = RemoveRedundantConstraints(
+        spec->dtd, spec->constraints, OptionsForOneCheck(budget.limits));
     if (!pruned.ok()) {
       std::fprintf(stderr, "error: %s\n", pruned.status().ToString().c_str());
       return 2;
@@ -327,8 +314,8 @@ int RunCommand(int argc, char** argv, const BudgetFlags& budget) {
     return 0;
   }
   if (command == "diagnose") {
-    Result<ConstraintSet> core =
-        MinimizeInconsistentCore(spec->dtd, spec->constraints);
+    Result<ConstraintSet> core = MinimizeInconsistentCore(
+        spec->dtd, spec->constraints, OptionsForOneCheck(budget.limits));
     if (!core.ok()) {
       std::fprintf(stderr, "error: %s\n", core.status().ToString().c_str());
       return 2;
@@ -380,8 +367,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (StartsWith(arg, "--timeout=")) {
-      budget.timeout_millis = std::atoll(arg.c_str() + 10);
-      if (budget.timeout_millis <= 0) {
+      budget.limits.timeout_millis = std::atoll(arg.c_str() + 10);
+      if (budget.limits.timeout_millis <= 0) {
         std::fprintf(stderr,
                      "error: --timeout expects a positive millisecond count\n");
         return 2;
@@ -394,14 +381,14 @@ int main(int argc, char** argv) {
                      "count\n");
         return 2;
       }
-      budget.memory_limit_bytes = megabytes * int64_t{1024} * 1024;
+      budget.limits.memory_limit_bytes = megabytes * int64_t{1024} * 1024;
     } else if (StartsWith(arg, "--max-depth=")) {
-      budget.max_depth = std::atoi(arg.c_str() + 12);
-      if (budget.max_depth <= 0) {
+      budget.limits.max_depth = std::atoi(arg.c_str() + 12);
+      if (budget.limits.max_depth <= 0) {
         std::fprintf(stderr, "error: --max-depth expects a positive integer\n");
         return 2;
       }
-      SetMaxParseDepth(budget.max_depth);
+      SetMaxParseDepth(budget.limits.max_depth);
     } else if (arg == "--explain-core") {
       budget.explain_core = true;
     } else if (StartsWith(arg, "--retries=")) {

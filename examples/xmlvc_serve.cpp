@@ -11,8 +11,11 @@
 //
 // to stdout, and serves JSON-lines verification requests until
 // SIGINT/SIGTERM (or until --max-requests responses have been
-// written). Protocol, verdict-cache semantics, and the operator
-// runbook: docs/serving.md.
+// written). A verdict-cache miss is first confirmed, when it can be,
+// from the same DTD's recent verdicts: by replaying an old witness
+// (CONSISTENT) or by quick-tier implication (INCONSISTENT). Protocol,
+// verdict-cache semantics, incremental re-verification and the
+// operator runbook: docs/serving.md.
 //
 // Flags:
 //   --port=N          TCP port on 127.0.0.1 (default 0: ephemeral)
@@ -71,7 +74,7 @@ int Usage() {
                "usage: xmlvc-serve [--port=N] [--jobs=N] [--queue-limit=N]\n"
                "                   [--timeout=MS] [--memory-limit=MB]\n"
                "                   [--max-depth=N] [--cache-entries=N]\n"
-               "                   [--max-requests=N] [--no-incremental]\n"
+               "                   [--max-requests=N]\n"
                "                   [--idle-timeout-ms=MS]\n"
                "                   [--write-timeout-ms=MS]\n"
                "                   [--max-connections=N]\n"
@@ -206,11 +209,6 @@ int main(int argc, char** argv) {
       fault_spec = arg.substr(15);
     } else if (StartsWith(arg, "--fault-seed=")) {
       fault_seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg == "--no-incremental") {
-      // Disable cache-assisted incremental re-verification (the
-      // quick-implication confirmation path; docs/implication.md) —
-      // every verdict-cache miss then pays for a cold solve.
-      options.incremental = false;
     } else if (arg == "--stats") {
       stats = true;
     } else {

@@ -46,13 +46,25 @@ class Deadline {
 
   /// Returns a copy that additionally expires the moment `token` is
   /// cancelled (base/cancel.h). Every existing cooperative poll —
-  /// Expired(), PeriodicDeadlineCheck, ResourceBudget::CheckDeadline —
-  /// then observes cancellation with one relaxed atomic load; the
-  /// procedures need no changes. A cancel-only deadline (no time
-  /// component) is not infinite: it is polled like any other.
+  /// Expired(), PeriodicDeadlineCheck — then observes cancellation
+  /// with one relaxed atomic load; the procedures need no changes. A
+  /// cancel-only deadline (no time component) is not infinite: it is
+  /// polled like any other.
   Deadline WithCancelToken(const CancelToken& token) const {
     Deadline deadline = *this;
     deadline.cancel_ = token.flag();
+    return deadline;
+  }
+
+  /// Returns a copy whose clock restarts now: it expires `budget` from
+  /// now (never, for Clock::duration::max()) and keeps this deadline's
+  /// cancel token. Gives each of several checks the same allowance
+  /// without dropping the caller's cancellation.
+  Deadline Restarted(Clock::duration budget) const {
+    Deadline deadline = *this;
+    deadline.has_deadline_ = budget != Clock::duration::max();
+    deadline.at_ = deadline.has_deadline_ ? Clock::now() + budget
+                                          : Clock::time_point{};
     return deadline;
   }
 

@@ -56,18 +56,6 @@ void ResourceBudget::ReleaseMemory(int64_t bytes) const {
   if (used < 0) accounting_->used.store(0, std::memory_order_relaxed);
 }
 
-Status ResourceBudget::CheckDeadline(const char* site) const {
-  if (!deadline_.Expired()) return Status::OK();
-  // Cancellation rides the deadline axis (base/cancel.h): same code,
-  // same propagation paths, same never-a-definitive-verdict policy —
-  // only the message and the counter name the real cause.
-  if (deadline_.cancelled()) {
-    trace::Count("resource/cancelled");
-    return Status::DeadlineExceeded(std::string("cancelled at ") + site);
-  }
-  return Status::DeadlineExceeded(std::string("deadline exceeded at ") + site);
-}
-
 Status ResourceBudget::CheckDepth(int depth, const char* site) const {
   if (max_depth_ <= 0 || depth <= max_depth_) return Status::OK();
   trace::Count("resource/depth_exhausted");

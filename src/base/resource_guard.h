@@ -2,22 +2,22 @@
 //
 // Every worst-case-exponential procedure in the pipeline (the ILP
 // solver, the exact simplex, the bounded enumerations, the scope
-// recursion) already polls a wall-clock Deadline. A ResourceBudget
-// extends that single axis to three:
+// recursion) polls the wall-clock Deadline of its own options struct.
+// A ResourceBudget adds the two other axes:
 //
-//   * wall clock   — the existing Deadline, unchanged semantics;
 //   * memory       — a tracked-allocation ceiling: procedures charge
 //     their dominant allocations (search nodes, tableaux, candidate
 //     trees) against the budget and release them when freed;
 //   * recursion    — a depth ceiling for recursive descents (parser
 //     nesting, hierarchical scope towers).
 //
-// Exhaustion surfaces as Status kResourceExhausted (memory/depth) or
-// kDeadlineExceeded (clock) and is never interpreted as a SAT/UNSAT
-// verdict. Budgets are cheap value types in the style of Deadline:
-// copy them freely into option structs and worker threads — copies
-// share one accounting block, so charges made by a solver deep in the
-// call tree are visible to the caller holding another copy.
+// Exhaustion surfaces as Status kResourceExhausted and is never
+// interpreted as a SAT/UNSAT verdict. Copies of a budget share one
+// accounting block, so charges made by a solver deep in the call tree
+// are visible to the caller holding another copy. That makes a budget
+// belong to one check: stamp a fresh one per check
+// (OptionsForOneCheck in core/consistency.h) rather than copying one
+// across independent checks, which would then charge each other.
 #ifndef XMLVERIFY_BASE_RESOURCE_GUARD_H_
 #define XMLVERIFY_BASE_RESOURCE_GUARD_H_
 
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "base/deadline.h"
 #include "base/status.h"
 
 namespace xmlverify {
@@ -53,9 +52,6 @@ class ResourceBudget {
   ResourceBudget() : accounting_(std::make_shared<Accounting>()) {}
 
   static ResourceBudget Unlimited() { return ResourceBudget(); }
-
-  const Deadline& deadline() const { return deadline_; }
-  void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
 
   /// Memory ceiling in bytes; 0 means unlimited.
   int64_t memory_limit_bytes() const { return memory_limit_bytes_; }
@@ -87,9 +83,6 @@ class ResourceBudget {
     return accounting_->peak.load(std::memory_order_relaxed);
   }
 
-  /// kDeadlineExceeded once the wall clock has passed the deadline.
-  Status CheckDeadline(const char* site) const;
-
   /// kResourceExhausted when `depth` exceeds the depth ceiling.
   Status CheckDepth(int depth, const char* site) const;
 
@@ -99,7 +92,6 @@ class ResourceBudget {
     std::atomic<int64_t> peak{0};
   };
 
-  Deadline deadline_;
   int64_t memory_limit_bytes_ = 0;
   int max_depth_ = 0;
   // Shared across copies: the solver charging against its options'

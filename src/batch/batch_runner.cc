@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "base/deadline.h"
 #include "base/fault_injection.h"
 #include "base/string_util.h"
 #include "core/specification.h"
@@ -46,11 +45,13 @@ Result<Specification> LoadSpec(const BatchEntry& entry) {
   return Specification::Parse(dtd_text, constraints_text);
 }
 
-// One attempt at one entry: load, stamp budgets scaled by `factor`,
-// decide. Loading is inside the attempt so transient IO failures
-// (the manifest_io fault point) are retried along with the check.
-BatchItem CheckOnce(const BatchEntry& entry, const BatchOptions& options,
-                    double factor) {
+// Each retry doubles the wall-clock and memory limits.
+constexpr int64_t kRetryBudgetGrowth = 2;
+
+// One attempt at one entry: load, stamp `limits`, decide. Loading is
+// inside the attempt so transient IO failures (the manifest_io fault
+// point) are retried along with the check.
+BatchItem CheckOnce(const BatchEntry& entry, const CheckLimits& limits) {
   BatchItem item;
   Result<Specification> spec = LoadSpec(entry);
   if (!spec.ok()) {
@@ -59,22 +60,10 @@ BatchItem CheckOnce(const BatchEntry& entry, const BatchOptions& options,
                              spec.status().message());
     return item;
   }
-  ConsistencyChecker::Options check = options.check;
+  ConsistencyChecker::Options check = OptionsForOneCheck(limits);
   // Batch mode reports verdicts, not documents; skipping witness
   // construction keeps per-check memory flat across a large manifest.
   check.build_witness = false;
-  if (options.timeout_millis > 0) {
-    check.deadline = Deadline::AfterMillis(
-        static_cast<int64_t>(static_cast<double>(options.timeout_millis) *
-                             factor));
-  }
-  // Budget limits are plain members (only the accounting block is
-  // shared), so scaling this copy leaves the caller's base intact.
-  int64_t memory_limit = check.budget.memory_limit_bytes();
-  if (memory_limit > 0) {
-    check.budget.set_memory_limit_bytes(
-        static_cast<int64_t>(static_cast<double>(memory_limit) * factor));
-  }
   ConsistencyChecker checker(std::move(check));
   Result<ConsistencyVerdict> verdict = checker.Check(*spec);
   if (!verdict.ok()) {
@@ -102,15 +91,14 @@ bool Retryable(const BatchItem& item) {
 BatchItem CheckOne(const BatchEntry& entry, const BatchOptions& options,
                    std::atomic<int>* retries, std::atomic<int>* recovered) {
   const int max_retries = options.retries < 0 ? 0 : options.retries;
-  const double growth =
-      options.retry_budget_growth > 1.0 ? options.retry_budget_growth : 2.0;
-  double factor = 1.0;
-  BatchItem item = CheckOnce(entry, options, factor);
+  CheckLimits limits = options.limits;
+  BatchItem item = CheckOnce(entry, limits);
   for (int retry = 0; retry < max_retries && Retryable(item); ++retry) {
-    factor *= growth;
+    limits.timeout_millis *= kRetryBudgetGrowth;
+    limits.memory_limit_bytes *= kRetryBudgetGrowth;
     trace::Count("resource/retries");
     retries->fetch_add(1, std::memory_order_relaxed);
-    item = CheckOnce(entry, options, factor);
+    item = CheckOnce(entry, limits);
     if (!Retryable(item)) {
       trace::Count("resource/retry_recovered");
       recovered->fetch_add(1, std::memory_order_relaxed);

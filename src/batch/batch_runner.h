@@ -39,20 +39,17 @@ Result<std::vector<BatchEntry>> ParseBatchManifest(
 struct BatchOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
   int jobs = 0;
-  /// Per-check wall-clock budget in milliseconds; <= 0 means none.
-  /// Each check gets a fresh Deadline derived from this duration when
-  /// its worker picks it up, so queueing time is not charged.
-  int64_t timeout_millis = 0;
-  /// Base checker options; the per-check deadline is stamped on top.
-  ConsistencyChecker::Options check;
+  /// Per-check limits. Each check gets them stamped afresh
+  /// (OptionsForOneCheck) when its worker picks it up, so queueing
+  /// time is not charged and no two checks share a memory account.
+  CheckLimits limits;
   /// Per-item retry with escalated budgets: an item whose check ends
   /// in DEADLINE_EXCEEDED or RESOURCE_EXHAUSTED (as a verdict or as an
   /// IO/check error status) is re-run up to `retries` more times, each
-  /// attempt with its wall-clock and memory budgets multiplied by
-  /// another factor of `retry_budget_growth`. Unlimited budgets stay
-  /// unlimited; definitive verdicts are never retried.
+  /// attempt with its wall-clock and memory limits doubled again.
+  /// Unlimited budgets stay unlimited; definitive verdicts are never
+  /// retried.
   int retries = 0;
-  double retry_budget_growth = 2.0;
   /// Optional registry shared by every worker (each worker installs
   /// its own TraceSession on it), aggregating counters such as
   /// cache/dfa_hits across the whole batch.

@@ -7,32 +7,48 @@ namespace xmlverify {
 
 namespace {
 
-SolverOptions WithBudget(SolverOptions solver, const ResourceBudget& budget) {
-  solver.budget = budget;
-  if (!budget.deadline().is_infinite()) solver.deadline = budget.deadline();
+// Caps for the degraded rung — deliberately much smaller than the
+// default bounded search: the ladder runs after the budget proved too
+// tight, so the fallback must be cheap enough to finish inside it.
+constexpr int kDegradedMaxNodes = 6;
+constexpr int kDegradedNumValues = 2;
+constexpr int64_t kDegradedMaxCandidates = 200000;
+
+// The check's deadline and budget, stamped into one stage's options.
+SolverOptions Stamped(SolverOptions solver,
+                      const ConsistencyChecker::Options& check) {
+  if (!check.deadline.is_infinite()) solver.deadline = check.deadline;
+  solver.budget = check.budget;
   return solver;
 }
 
-BoundedSearchOptions WithBudget(BoundedSearchOptions bounded,
-                                const ResourceBudget& budget) {
-  bounded.budget = budget;
-  if (!budget.deadline().is_infinite()) bounded.deadline = budget.deadline();
+BoundedSearchOptions Stamped(BoundedSearchOptions bounded,
+                             const ConsistencyChecker::Options& check) {
+  if (!check.deadline.is_infinite()) bounded.deadline = check.deadline;
+  bounded.budget = check.budget;
   return bounded;
 }
 
 }  // namespace
 
+ConsistencyChecker::Options OptionsForOneCheck(const CheckLimits& limits,
+                                               const CancelToken* cancel) {
+  ConsistencyChecker::Options options;
+  if (limits.timeout_millis > 0) {
+    options.deadline = Deadline::AfterMillis(limits.timeout_millis);
+  }
+  if (cancel != nullptr) {
+    options.deadline = options.deadline.WithCancelToken(*cancel);
+  }
+  options.budget.set_memory_limit_bytes(limits.memory_limit_bytes);
+  options.budget.set_max_depth(limits.max_depth);
+  return options;
+}
+
 Result<ConsistencyVerdict> ConsistencyChecker::Check(
     const Specification& spec) const {
-  // One budget object carries all three ceilings through the check;
-  // the standalone `deadline` option is merged in when the budget has
-  // none of its own.
-  ResourceBudget budget = options_.budget;
-  if (budget.deadline().is_infinite() && !options_.deadline.is_infinite()) {
-    budget.set_deadline(options_.deadline);
-  }
   bool exact_ran = false;
-  Result<ConsistencyVerdict> result = CheckDispatch(spec, budget, &exact_ran);
+  Result<ConsistencyVerdict> result = CheckDispatch(spec, &exact_ran);
 
   // Procedures that propagate limits through Result-returning
   // recursion (the hierarchical checker) surface them as a Status;
@@ -61,7 +77,11 @@ Result<ConsistencyVerdict> ConsistencyChecker::Check(
   std::vector<DegradationStep> trail;
   trail.push_back({"exact", OutcomeName(verdict.outcome), verdict.note});
 
-  BoundedSearchOptions degraded = WithBudget(options_.degraded, budget);
+  BoundedSearchOptions degraded;
+  degraded.max_nodes = kDegradedMaxNodes;
+  degraded.num_values = kDegradedNumValues;
+  degraded.max_candidates = kDegradedMaxCandidates;
+  degraded = Stamped(std::move(degraded), options_);
   Result<ConsistencyVerdict> fallback =
       BoundedSearchConsistency(spec.dtd, spec.constraints, degraded);
   if (!fallback.ok()) {
@@ -97,8 +117,7 @@ Result<ConsistencyVerdict> ConsistencyChecker::Check(
 }
 
 Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
-    const Specification& spec, const ResourceBudget& budget,
-    bool* exact_ran) const {
+    const Specification& spec, bool* exact_ran) const {
   TraceSpan check_span("check");
   RETURN_IF_ERROR(spec.constraints.Validate(spec.dtd));
   ConstraintClass constraint_class;
@@ -125,9 +144,8 @@ Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
     case ConstraintClass::kAcMultiPrimary: {
       *exact_ran = true;
       AbsoluteCheckOptions absolute;
-      absolute.solver = WithBudget(options_.solver, budget);
+      absolute.solver = Stamped(options_.solver, options_);
       absolute.build_witness = options_.build_witness;
-      absolute.verify_witness = options_.verify_witness;
       ASSIGN_OR_RETURN(
           ConsistencyVerdict verdict,
           CheckAbsoluteConsistency(spec.dtd, spec.constraints, absolute));
@@ -136,9 +154,8 @@ Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
     case ConstraintClass::kAcRegular: {
       *exact_ran = true;
       RegularCheckOptions regular;
-      regular.solver = WithBudget(options_.solver, budget);
+      regular.solver = Stamped(options_.solver, options_);
       regular.build_witness = options_.build_witness;
-      regular.verify_witness = options_.verify_witness;
       regular.max_expressions = options_.max_expressions;
       ASSIGN_OR_RETURN(
           ConsistencyVerdict verdict,
@@ -149,9 +166,8 @@ Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
     case ConstraintClass::kMixedRelative: {
       *exact_ran = true;
       HierarchicalCheckOptions hierarchical;
-      hierarchical.solver = WithBudget(options_.solver, budget);
+      hierarchical.solver = Stamped(options_.solver, options_);
       hierarchical.build_witness = options_.build_witness;
-      hierarchical.verify_witness = options_.verify_witness;
       Result<ConsistencyVerdict> verdict =
           CheckHierarchicalConsistency(spec.dtd, spec.constraints,
                                        hierarchical);
@@ -166,7 +182,7 @@ Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
       ASSIGN_OR_RETURN(
           ConsistencyVerdict bounded,
           BoundedSearchConsistency(spec.dtd, spec.constraints,
-                                   WithBudget(options_.bounded, budget)));
+                                   Stamped(options_.bounded, options_)));
       bounded.note = verdict.status().message() +
                      (bounded.note.empty() ? "" : "; " + bounded.note);
       return annotate(std::move(bounded));
@@ -176,7 +192,7 @@ Result<ConsistencyVerdict> ConsistencyChecker::CheckDispatch(
       ASSIGN_OR_RETURN(
           ConsistencyVerdict bounded,
           BoundedSearchConsistency(spec.dtd, spec.constraints,
-                                   WithBudget(options_.bounded, budget)));
+                                   Stamped(options_.bounded, options_)));
       bounded.note =
           "SAT(AC^{*,*}) is undecidable; bounded search only" +
           (bounded.note.empty() ? std::string() : "; " + bounded.note);

@@ -10,7 +10,11 @@
 #ifndef XMLVERIFY_CORE_CONSISTENCY_H_
 #define XMLVERIFY_CORE_CONSISTENCY_H_
 
+#include <cstdint>
+
+#include "base/cancel.h"
 #include "base/deadline.h"
+#include "base/resource_guard.h"
 #include "base/status.h"
 #include "core/brute_force.h"
 #include "core/sat_absolute.h"
@@ -26,7 +30,6 @@ class ConsistencyChecker {
   struct Options {
     SolverOptions solver;
     bool build_witness = true;
-    bool verify_witness = true;
     /// Cap on distinct regular path expressions (2^k blow-up).
     int max_expressions = 16;
     /// Fallback bounds for the undecidable fragments.
@@ -37,31 +40,20 @@ class ConsistencyChecker {
     /// definitive answer). Default: never expires.
     Deadline deadline;
     /// Memory/recursion budget for the whole check, stamped into every
-    /// stage alongside the deadline (when the budget carries no
-    /// deadline of its own, `deadline` above is merged in). Exhaustion
-    /// yields kResourceExhausted — or enters the degradation ladder
-    /// below. Default: unlimited.
+    /// stage alongside the deadline. Exhaustion yields
+    /// kResourceExhausted — or enters the degradation ladder below.
+    /// Default: unlimited.
     ResourceBudget budget;
     /// Degradation ladder (see docs/robustness.md): when an *exact*
     /// stage exhausts its budget or gives up at a solver limit
     /// (kResourceExhausted / kUnknown), retry once with the bounded
-    /// searcher under the explicitly smaller `degraded` caps instead
-    /// of reporting failure outright. A witness found there is a sound
+    /// searcher under much smaller caps (consistency.cc) instead of
+    /// reporting failure outright. A witness found there is a sound
     /// kConsistent; otherwise the final verdict is kUnknown (or
     /// kResourceExhausted if even the degraded stage ran out) and
     /// `verdict.degradation` records every rung. Stages that are
     /// already bounded searches do not re-degrade.
     bool degrade_on_exhaustion = true;
-    /// Caps for the degraded rung — deliberately much smaller than
-    /// `bounded`: the ladder runs after the budget proved too tight,
-    /// so the fallback must be cheap enough to finish inside it.
-    BoundedSearchOptions degraded = [] {
-      BoundedSearchOptions caps;
-      caps.max_nodes = 6;
-      caps.num_values = 2;
-      caps.max_candidates = 200000;
-      return caps;
-    }();
   };
 
   ConsistencyChecker() = default;
@@ -77,11 +69,25 @@ class ConsistencyChecker {
 
  private:
   Result<ConsistencyVerdict> CheckDispatch(const Specification& spec,
-                                           const ResourceBudget& budget,
                                            bool* exact_ran) const;
 
   Options options_;
 };
+
+/// A front end's limits for one check; 0 means none on that axis.
+struct CheckLimits {
+  int64_t timeout_millis = 0;
+  int64_t memory_limit_bytes = 0;
+  int max_depth = 0;
+};
+
+/// Checker options for one check under `limits`: a fresh
+/// ResourceBudget with its own accounting block, and a deadline that
+/// starts now and also expires when `cancel` (if given) is tripped.
+/// Every front end (serve, batch, each xmlvc command) stamps its
+/// checks here, once per check.
+ConsistencyChecker::Options OptionsForOneCheck(
+    const CheckLimits& limits, const CancelToken* cancel = nullptr);
 
 }  // namespace xmlverify
 

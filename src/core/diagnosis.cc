@@ -1,6 +1,5 @@
 #include "core/diagnosis.h"
 
-#include <algorithm>
 #include <variant>
 #include <vector>
 
@@ -38,35 +37,40 @@ ConstraintSet Rebuild(const std::vector<AnyConstraint>& flat,
   return set;
 }
 
-// The wall-clock allowance a single probe may spend: whatever the
-// caller's options leave, measured once at entry so every probe gets
-// the same allowance.
-Deadline::Clock::duration ProbeWall(const ConsistencyChecker::Options& base) {
-  return std::min(base.deadline.Remaining(),
-                  base.budget.deadline().Remaining());
-}
-
-// Per-probe checker options: the caller's ceilings, but a fresh
-// accounting block and a freshly stamped deadline. Sharing the
-// caller's ResourceBudget across all |Sigma|+1 probes accumulates
-// charges (and the one absolute deadline keeps ticking), so late
-// probes would spuriously exhaust and their constraints be
-// conservatively kept — degrading the "minimal" core toward the full
-// set.
+// Per-probe checker options: the caller's ceilings and cancel token,
+// but a fresh accounting block and a clock restarted at `wall` (the
+// allowance the caller's deadline had at entry, so every probe gets
+// the same one). Sharing the caller's ResourceBudget across all
+// |Sigma|+1 probes accumulates charges (and the one absolute deadline
+// keeps ticking), so late probes would spuriously exhaust and their
+// constraints be conservatively kept — degrading the "minimal" core
+// toward the full set. Probes need verdicts only, not witnesses.
 ConsistencyChecker::Options ProbeOptions(
     const ConsistencyChecker::Options& base, Deadline::Clock::duration wall) {
   ConsistencyChecker::Options probe = base;
-  ResourceBudget fresh;
-  fresh.set_memory_limit_bytes(base.budget.memory_limit_bytes());
-  fresh.set_max_depth(base.budget.max_depth());
-  if (wall == Deadline::Clock::duration::max()) {
-    probe.deadline = Deadline::Infinite();
-  } else {
-    probe.deadline = Deadline::After(wall);
-    fresh.set_deadline(probe.deadline);
-  }
-  probe.budget = fresh;
+  probe.build_witness = false;
+  probe.deadline = base.deadline.Restarted(wall);
+  probe.budget = ResourceBudget();
+  probe.budget.set_memory_limit_bytes(base.budget.memory_limit_bytes());
+  probe.budget.set_max_depth(base.budget.max_depth());
   return probe;
+}
+
+// Full-tier implication options under one probe's limits.
+ImplicationOptions ProbeImplicationOptions(
+    const ConsistencyChecker::Options& base, Deadline::Clock::duration wall) {
+  const ConsistencyChecker::Options probe = ProbeOptions(base, wall);
+  ImplicationOptions implication;
+  implication.solver = probe.solver;
+  implication.solver.deadline = probe.deadline;
+  implication.solver.budget = probe.budget;
+  implication.max_expressions = probe.max_expressions;
+  implication.build_counterexample = false;
+  return implication;
+}
+
+Status Cancelled() {
+  return Status::DeadlineExceeded("core minimization cancelled");
 }
 
 // Is `constraint` implied by `rest` (under the DTD)? Decidable
@@ -106,8 +110,8 @@ bool ImpliedByRest(const ImplicationChecker& engine, const Dtd& dtd,
 
 Result<ConstraintSet> MinimizeInconsistentCore(
     const Dtd& dtd, const ConstraintSet& constraints,
-    const DiagnosisOptions& options) {
-  const Deadline::Clock::duration wall = ProbeWall(options.checker);
+    const ConsistencyChecker::Options& options) {
+  const Deadline::Clock::duration wall = options.deadline.Remaining();
   std::vector<AnyConstraint> flat = Flatten(constraints);
   std::vector<bool> keep(flat.size(), true);
 
@@ -117,8 +121,9 @@ Result<ConstraintSet> MinimizeInconsistentCore(
   spec.dtd = dtd;
   spec.constraints = Rebuild(flat, keep);
   {
-    ConsistencyChecker checker(ProbeOptions(options.checker, wall));
+    ConsistencyChecker checker(ProbeOptions(options, wall));
     ASSIGN_OR_RETURN(ConsistencyVerdict verdict, checker.Check(spec));
+    if (options.deadline.cancelled()) return Cancelled();
     if (verdict.outcome != ConsistencyOutcome::kInconsistent) {
       return Status::InvalidArgument(
           "MinimizeInconsistentCore requires an (exactly) inconsistent "
@@ -128,12 +133,14 @@ Result<ConstraintSet> MinimizeInconsistentCore(
 
   // Iterative deletion: drop each constraint if the rest stays
   // inconsistent. Each probe runs under its own derived budget (see
-  // ProbeOptions above).
+  // ProbeOptions above); a probe that ends after the cancel token
+  // tripped decides nothing.
   for (size_t i = 0; i < flat.size(); ++i) {
     keep[i] = false;
     spec.constraints = Rebuild(flat, keep);
-    ConsistencyChecker checker(ProbeOptions(options.checker, wall));
+    ConsistencyChecker checker(ProbeOptions(options, wall));
     Result<ConsistencyVerdict> probe = checker.Check(spec);
+    if (options.deadline.cancelled()) return Cancelled();
     bool still_inconsistent =
         probe.ok() && probe->outcome == ConsistencyOutcome::kInconsistent;
     if (!still_inconsistent) keep[i] = true;  // needed for the core
@@ -146,19 +153,15 @@ Result<ConstraintSet> MinimizeInconsistentCore(
   // this pass additionally shrinks cores whose probes ended kUnknown
   // or exhausted (those constraints were kept conservatively).
   ImplicationEngineOptions engine_options;
-  const ConsistencyChecker::Options prune_probe =
-      ProbeOptions(options.checker, wall);
-  engine_options.full.solver = prune_probe.solver;
-  engine_options.full.solver.deadline = prune_probe.deadline;
-  engine_options.full.solver.budget = prune_probe.budget;
-  engine_options.full.max_expressions = options.checker.max_expressions;
-  engine_options.full.build_counterexample = false;
+  engine_options.full = ProbeImplicationOptions(options, wall);
   const ImplicationChecker engine(engine_options);
   for (size_t i = 0; i < flat.size(); ++i) {
     if (!keep[i]) continue;
     keep[i] = false;
     ConstraintSet rest = Rebuild(flat, keep);
-    if (ImpliedByRest(engine, dtd, rest, flat[i])) {
+    const bool implied = ImpliedByRest(engine, dtd, rest, flat[i]);
+    if (options.deadline.cancelled()) return Cancelled();
+    if (implied) {
       trace::Count("diagnosis/implication_pruned");
     } else {
       keep[i] = true;
@@ -169,8 +172,8 @@ Result<ConstraintSet> MinimizeInconsistentCore(
 
 Result<ConstraintSet> RemoveRedundantConstraints(
     const Dtd& dtd, const ConstraintSet& constraints,
-    const DiagnosisOptions& options) {
-  (void)options;
+    const ConsistencyChecker::Options& options) {
+  const Deadline::Clock::duration wall = options.deadline.Remaining();
   RETURN_IF_ERROR(constraints.Validate(dtd));
   std::vector<AnyConstraint> flat = Flatten(constraints);
   std::vector<bool> keep(flat.size(), true);
@@ -186,8 +189,8 @@ Result<ConstraintSet> RemoveRedundantConstraints(
 
     keep[i] = false;
     ConstraintSet rest = Rebuild(flat, keep);
-    ImplicationOptions implication_options;
-    implication_options.build_counterexample = false;
+    const ImplicationOptions implication_options =
+        ProbeImplicationOptions(options, wall);
     Result<ImplicationVerdict> implied =
         key != nullptr
             ? CheckKeyImplication(dtd, rest, *key, implication_options)

@@ -14,17 +14,19 @@
 
 namespace xmlverify {
 
-struct DiagnosisOptions {
-  ConsistencyChecker::Options checker;
-};
-
 /// Requires that (dtd, constraints) is inconsistent with an exact
 /// verdict; returns a minimal inconsistent core by iterative deletion
 /// (|Sigma| consistency checks). Constraints whose removal makes the
 /// verdict kUnknown are conservatively kept.
+///
+/// Each probe check gets `options` with a fresh accounting block and
+/// the whole wall-clock allowance `options.deadline` had at entry, so
+/// the minimization may run (|Sigma|+2) times that allowance. Once
+/// the deadline's cancel token trips, no further probe starts and the
+/// result is kDeadlineExceeded, never a partial core.
 Result<ConstraintSet> MinimizeInconsistentCore(
     const Dtd& dtd, const ConstraintSet& constraints,
-    const DiagnosisOptions& options = {});
+    const ConsistencyChecker::Options& options = {});
 
 /// Specification hygiene: drops absolute unary constraints that are
 /// implied (in the presence of the DTD) by the remaining ones, via
@@ -32,10 +34,13 @@ Result<ConstraintSet> MinimizeInconsistentCore(
 /// or keys forced by DTD cardinalities. Greedy, order-dependent but
 /// sound: the returned set constrains exactly the same documents.
 /// Regular/relative constraints and multi-attribute keys are kept
-/// as-is (their implication problems are harder or undecidable).
+/// as-is (their implication problems are harder or undecidable). Each
+/// implication check runs under `options` the way a probe of
+/// MinimizeInconsistentCore does; one that does not settle keeps its
+/// constraint.
 Result<ConstraintSet> RemoveRedundantConstraints(
     const Dtd& dtd, const ConstraintSet& constraints,
-    const DiagnosisOptions& options = {});
+    const ConsistencyChecker::Options& options = {});
 
 /// Renders the rung-by-rung trail of a degraded check (see
 /// ConsistencyChecker::Options::degrade_on_exhaustion) as a single

@@ -124,11 +124,10 @@ class ImplicationChecker {
   bool QuickImplies(const Dtd& dtd, const ConstraintSet& sigma,
                     const RelativeInclusion& phi) const;
 
-  /// Every constraint of `phis` quick-implied by `sigma`. This is the
-  /// set-level primitive behind incremental re-verification
+  /// Every constraint of `phis` quick-implied by `sigma`. This backs
+  /// the INCONSISTENT branch of incremental re-verification
   /// (docs/serving.md): Sigma_new |= Sigma_old pointwise preserves an
-  /// INCONSISTENT verdict of Sigma_old's spec, and Sigma_old |=
-  /// Sigma_new pointwise preserves a CONSISTENT one.
+  /// INCONSISTENT verdict of Sigma_old's spec.
   bool QuickImpliesAll(const Dtd& dtd, const ConstraintSet& sigma,
                        const ConstraintSet& phis) const;
 

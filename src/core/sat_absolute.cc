@@ -68,12 +68,10 @@ Result<ConsistencyVerdict> CheckAbsoluteConsistency(
   RETURN_IF_ERROR(AssignAbsoluteValues(dtd, constraints, cardinality,
                                        solved.assignment,
                                        options.value_prefix, &tree));
-  if (options.verify_witness) {
-    Status valid = CheckDocument(tree, dtd, constraints);
-    if (!valid.ok()) {
-      return Status::Internal(
-          "constructed witness fails dynamic validation: " + valid.message());
-    }
+  Status valid = CheckDocument(tree, dtd, constraints);
+  if (!valid.ok()) {
+    return Status::Internal("constructed witness fails dynamic validation: " +
+                            valid.message());
   }
   verdict.witness = std::move(tree);
   return verdict;

@@ -23,11 +23,10 @@ namespace xmlverify {
 
 struct AbsoluteCheckOptions {
   SolverOptions solver;
-  /// Build a witness tree for consistent specifications.
+  /// Build a witness tree for consistent specifications. A built
+  /// witness is always replayed through the dynamic checker (cheap,
+  /// and a strong internal soundness check).
   bool build_witness = true;
-  /// Re-validate the witness with the dynamic checker (cheap, and a
-  /// strong internal soundness check).
-  bool verify_witness = true;
   /// Distinct pools for the hierarchical checker's sibling scopes.
   std::string value_prefix = "v";
   /// Element types whose extent is forced to zero (hierarchical

@@ -154,7 +154,6 @@ class HierarchicalChecker {
     AbsoluteCheckOptions scope_options;
     scope_options.solver = options_.solver;
     scope_options.build_witness = build_witness;
-    scope_options.verify_witness = build_witness && options_.verify_witness;
     scope_options.value_prefix = value_prefix;
     scope_options.forced_empty_types = std::move(forced_empty);
     ASSIGN_OR_RETURN(
@@ -268,13 +267,11 @@ Result<ConsistencyVerdict> CheckHierarchicalConsistency(
   RETURN_IF_ERROR(checker.Graft(root_scope, root_scope.root(), scope_to_global,
                                 &global, global.root(), root_contexts));
   verdict.stats = checker.stats();
-  if (options.verify_witness) {
-    Status valid = CheckDocument(global, dtd, relative);
-    if (!valid.ok()) {
-      return Status::Internal(
-          "stitched hierarchical witness fails dynamic validation: " +
-          valid.message());
-    }
+  Status valid = CheckDocument(global, dtd, relative);
+  if (!valid.ok()) {
+    return Status::Internal(
+        "stitched hierarchical witness fails dynamic validation: " +
+        valid.message());
   }
   verdict.witness = std::move(global);
   return verdict;

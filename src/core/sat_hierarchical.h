@@ -19,8 +19,7 @@ namespace xmlverify {
 
 struct HierarchicalCheckOptions {
   SolverOptions solver;
-  bool build_witness = true;
-  bool verify_witness = true;
+  bool build_witness = true;  // replayed through the dynamic checker
 };
 
 Result<ConsistencyVerdict> CheckHierarchicalConsistency(

@@ -59,13 +59,11 @@ Result<ConsistencyVerdict> CheckRegularConsistency(
 
   TraceSpan witness_span("check/witness");
   ASSIGN_OR_RETURN(XmlTree tree, encoder->BuildWitness(solved.assignment));
-  if (options.verify_witness) {
-    Status valid = CheckDocument(tree, dtd, regular);
-    if (!valid.ok()) {
-      return Status::Internal(
-          "constructed regular witness fails dynamic validation: " +
-          valid.message());
-    }
+  Status valid = CheckDocument(tree, dtd, regular);
+  if (!valid.ok()) {
+    return Status::Internal(
+        "constructed regular witness fails dynamic validation: " +
+        valid.message());
   }
   verdict.witness = std::move(tree);
   return verdict;

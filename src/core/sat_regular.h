@@ -15,8 +15,7 @@ namespace xmlverify {
 
 struct RegularCheckOptions {
   SolverOptions solver;
-  bool build_witness = true;
-  bool verify_witness = true;
+  bool build_witness = true;  // replayed through the dynamic checker
   /// Cap on distinct path expressions (the z_theta block is 2^k).
   int max_expressions = 16;
 };

@@ -501,8 +501,9 @@ void ServeServer::WorkerLoop() {
   }
 }
 
-int64_t ServeServer::EffectiveTimeout(const Job& job) const {
-  int64_t timeout = options_.timeout_millis;  // server ceiling, stamped now
+CheckLimits ServeServer::PickupLimits(const Job& job) const {
+  CheckLimits limits;
+  limits.timeout_millis = options_.timeout_millis;  // server ceiling
   if (job.has_client_deadline) {
     // What remains of the enqueue-stamped client budget; the expired
     // case is shed before this is called, so clamp to 1ms as a race
@@ -511,42 +512,25 @@ int64_t ServeServer::EffectiveTimeout(const Job& job) const {
                             job.client_deadline.Remaining())
                             .count();
     if (remaining < 1) remaining = 1;
-    if (timeout <= 0 || remaining < timeout) timeout = remaining;
+    if (limits.timeout_millis <= 0 || remaining < limits.timeout_millis) {
+      limits.timeout_millis = remaining;
+    }
   }
-  return timeout;
-}
-
-ConsistencyChecker::Options ServeServer::StampedCheckOptions(
-    int64_t timeout_millis, const CancelToken* cancel) const {
-  ConsistencyChecker::Options check = options_.check;
-  check.build_witness = true;  // cached entries carry the witness
-  ResourceBudget budget;
-  check.deadline = timeout_millis > 0 ? Deadline::AfterMillis(timeout_millis)
-                                      : Deadline::Infinite();
-  if (cancel != nullptr) {
-    check.deadline = check.deadline.WithCancelToken(*cancel);
-  }
-  if (!check.deadline.is_infinite()) budget.set_deadline(check.deadline);
-  if (options_.memory_limit_bytes > 0) {
-    budget.set_memory_limit_bytes(options_.memory_limit_bytes);
-  }
-  if (options_.max_depth > 0) budget.set_max_depth(options_.max_depth);
-  check.budget = budget;
-  return check;
+  limits.memory_limit_bytes = options_.memory_limit_bytes;
+  limits.max_depth = options_.max_depth;
+  return limits;
 }
 
 std::string ServeServer::ComputeCoreText(const Specification& spec,
-                                         int64_t timeout_millis,
-                                         const CancelToken* cancel,
+                                         const Job& job,
                                          ConstraintSet* core_out) {
   // The minimization runs |Sigma|+1 probe checks; it gets one fresh
   // request-sized budget here, and MinimizeInconsistentCore derives a
-  // fresh per-probe budget from it (core/diagnosis.cc).
-  DiagnosisOptions diagnosis;
-  diagnosis.checker = StampedCheckOptions(timeout_millis, cancel);
-  diagnosis.checker.build_witness = false;  // probes only need verdicts
-  Result<ConstraintSet> core =
-      MinimizeInconsistentCore(spec.dtd, spec.constraints, diagnosis);
+  // fresh per-probe budget from it (core/diagnosis.cc). A tripped
+  // cancel token fails it, so a dead client's request records no core.
+  Result<ConstraintSet> core = MinimizeInconsistentCore(
+      spec.dtd, spec.constraints,
+      OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
   if (!core.ok()) {
     trace::Count("serve/core_failed");
     return std::string();
@@ -586,23 +570,16 @@ bool ServeServer::TryIncremental(const Specification& spec,
       // Sigma_new |= core (or the full old Sigma): any document
       // satisfying the new spec would satisfy an inconsistent set.
       const ConstraintSet& base = old.has_core ? old.core : old.constraints;
-      if (engine.QuickImpliesAll(spec.dtd, spec.constraints, base)) {
-        *confirmed = old;
-        // The old core need not be a subset of the new constraints;
-        // core-requesting clients get a fresh minimization instead.
-        confirmed->has_core = false;
-        confirmed->core = ConstraintSet();
-        confirmed->witness_xml.clear();
-        return true;
-      }
-    } else if (old.outcome == ConsistencyOutcome::kConsistent) {
-      // Sigma_old |= Sigma_new pointwise: the old witness satisfies
-      // the new spec. Defense in depth: replay it through the dynamic
-      // checker before trusting the implication algebra.
-      if (!engine.QuickImpliesAll(spec.dtd, old.constraints,
-                                  spec.constraints)) {
+      if (!engine.QuickImpliesAll(spec.dtd, spec.constraints, base)) {
         continue;
       }
+      *confirmed = old;
+      confirmed->witness_xml.clear();
+    } else {
+      // The history holds definitive verdicts only, so `old` is
+      // CONSISTENT. A document that conforms to the DTD and satisfies
+      // Sigma_new proves the new spec consistent (the paper's dynamic
+      // check), so replaying the old witness needs no implication.
       if (old.witness_xml.empty()) continue;
       Result<XmlTree> witness = ParseXmlDocument(old.witness_xml, spec.dtd);
       if (!witness.ok() ||
@@ -611,10 +588,13 @@ bool ServeServer::TryIncremental(const Specification& spec,
         continue;
       }
       *confirmed = old;
-      confirmed->has_core = false;
-      confirmed->core = ConstraintSet();
-      return true;
     }
+    // The old core need not be a subset of the new constraints;
+    // core-requesting clients get a fresh minimization instead.
+    confirmed->has_core = false;
+    confirmed->core = ConstraintSet();
+    confirmed->note = "class: " + ConstraintClassName(spec.Classify());
+    return true;
   }
   return false;
 }
@@ -686,8 +666,7 @@ void ServeServer::HandleRequest(const Job& job) {
         hit->outcome == ConsistencyOutcome::kInconsistent &&
         core_text.empty()) {
       ConstraintSet core;
-      core_text = ComputeCoreText(*spec, EffectiveTimeout(job),
-                                  &job.conn->cancel, &core);
+      core_text = ComputeCoreText(*spec, job, &core);
       if (!core_text.empty()) {
         cache_.AttachCore(canonical, raw_key, core_text);
         HistoryEntry entry;
@@ -709,39 +688,35 @@ void ServeServer::HandleRequest(const Job& job) {
   trace::Count("serve/cache_misses");
 
   // Incremental re-verification: before paying for a cold solve, try
-  // to confirm a verdict previously computed for the same DTD whose
-  // constraints differ only in ways the quick implication tier can
-  // discharge (docs/implication.md).
-  if (options_.incremental) {
-    HistoryEntry confirmed;
-    if (TryIncremental(*spec, &confirmed)) {
-      trace::Count("serve/incremental_hits");
-      cache_.Insert(canonical, raw_key, fingerprint, confirmed.outcome,
-                    confirmed.note, confirmed.witness_xml);
-      std::string core_text;
-      if (request.want_core &&
-          confirmed.outcome == ConsistencyOutcome::kInconsistent) {
-        ConstraintSet core;
-        core_text = ComputeCoreText(*spec, EffectiveTimeout(job),
-                                    &job.conn->cancel, &core);
-        if (!core_text.empty()) {
-          cache_.AttachCore(canonical, raw_key, core_text);
-          confirmed.core = core;
-          confirmed.has_core = true;
-        }
+  // to confirm a verdict previously computed for the same DTD — by
+  // replaying an old witness, or for INCONSISTENT by quick-tier
+  // implication (docs/serving.md).
+  HistoryEntry confirmed;
+  if (TryIncremental(*spec, &confirmed)) {
+    trace::Count("serve/incremental_hits");
+    cache_.Insert(canonical, raw_key, fingerprint, confirmed.outcome,
+                  confirmed.note, confirmed.witness_xml);
+    std::string core_text;
+    if (request.want_core &&
+        confirmed.outcome == ConsistencyOutcome::kInconsistent) {
+      ConstraintSet core;
+      core_text = ComputeCoreText(*spec, job, &core);
+      if (!core_text.empty()) {
+        cache_.AttachCore(canonical, raw_key, core_text);
+        confirmed.core = core;
+        confirmed.has_core = true;
       }
-      HistoryEntry record = confirmed;
-      record.constraints = spec->constraints;
-      RecordHistory(spec->dtd.ToString(), std::move(record));
-      WriteResponse(job.conn,
-                    FormatVerdictResponse(request.id, confirmed.outcome,
-                                          confirmed.note, fingerprint,
-                                          /*cached=*/true,
-                                          confirmed.witness_xml,
-                                          request.want_witness, core_text,
-                                          request.want_core));
-      return;
     }
+    HistoryEntry record = confirmed;
+    record.constraints = spec->constraints;
+    RecordHistory(spec->dtd.ToString(), std::move(record));
+    WriteResponse(job.conn,
+                  FormatVerdictResponse(request.id, confirmed.outcome,
+                                        confirmed.note, fingerprint,
+                                        /*cached=*/true, confirmed.witness_xml,
+                                        request.want_witness, core_text,
+                                        request.want_core));
+    return;
   }
 
   // The server ceiling is stamped when the worker picks the job up
@@ -750,7 +725,7 @@ void ServeServer::HandleRequest(const Job& job) {
   // The connection's cancel token rides on the deadline, so the check
   // aborts cooperatively the moment the reader declares the peer dead.
   ConsistencyChecker checker(
-      StampedCheckOptions(EffectiveTimeout(job), &job.conn->cancel));
+      OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
   Result<ConsistencyVerdict> verdict = checker.Check(*spec);
   if (!verdict.ok()) {
     if (job.conn->cancel.cancelled()) {
@@ -784,8 +759,7 @@ void ServeServer::HandleRequest(const Job& job) {
   bool has_core = false;
   if (request.want_core &&
       verdict->outcome == ConsistencyOutcome::kInconsistent) {
-    core_text = ComputeCoreText(*spec, EffectiveTimeout(job),
-                                &job.conn->cancel, &core);
+    core_text = ComputeCoreText(*spec, job, &core);
     if (!core_text.empty()) {
       cache_.AttachCore(canonical, raw_key, core_text);
       has_core = true;

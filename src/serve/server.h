@@ -18,14 +18,13 @@
 // Admission control: the queue is bounded; when it is full the reader
 // answers immediately with the distinct RETRYABLE error instead of
 // queueing (load shedding — the client owns the retry policy, the
-// server never builds unbounded backlog). Per-request budgets ride on
-// the existing Deadline/ResourceBudget machinery: the server ceiling
-// is stamped when a worker picks the job up (queueing time is not
-// charged, as in the batch runner), while a request that carries its
-// own `timeout_ms` is additionally stamped at enqueue, so a job that
-// already outwaited its client is shed cheaply at pickup instead of
-// being solved for nobody. The degradation ladder of
-// docs/robustness.md applies unchanged.
+// server never builds unbounded backlog). Each check's limits are
+// stamped by OptionsForOneCheck (core/consistency.h) when a worker
+// picks the job up (queueing time is not charged, as in the batch
+// runner), while a request that carries its own `timeout_ms` is
+// additionally stamped at enqueue, so a job that already outwaited its
+// client is shed cheaply at pickup instead of being solved for nobody.
+// The degradation ladder of docs/robustness.md applies unchanged.
 //
 // Hostile-client hardening (docs/serving.md, "Connection hardening"):
 // per-connection idle and write deadlines bound how long a silent or
@@ -73,7 +72,8 @@ struct ServeOptions {
   size_t queue_limit = 256;
   /// Server-side per-request wall-clock ceiling in milliseconds;
   /// <= 0 means none. A request's own `timeout_ms` may only tighten
-  /// it, never exceed it.
+  /// it, never exceed it. Like the two ceilings below, it is stamped
+  /// afresh for every check (OptionsForOneCheck).
   int64_t timeout_millis = 0;
   /// Per-request tracked-memory ceiling in bytes; <= 0 means none.
   int64_t memory_limit_bytes = 0;
@@ -112,17 +112,6 @@ struct ServeOptions {
   /// Periodic snapshot interval in milliseconds; <= 0 writes only on
   /// drain. Ignored when cache_snapshot_path is empty.
   int64_t snapshot_interval_millis = 0;
-  /// Base checker options; budgets/deadline stamped per request.
-  ConsistencyChecker::Options check = {};
-  /// Incremental re-verification (docs/implication.md): on a verdict
-  /// cache miss, try to confirm a previously solved verdict for the
-  /// same DTD through quick-tier implication — Sigma_new implying the
-  /// old (in)consistency core preserves INCONSISTENT; the old Sigma
-  /// implying Sigma_new preserves CONSISTENT (with the old witness
-  /// revalidated against the new constraints) — instead of re-solving
-  /// from scratch. Sound: quick-tier answers are underapproximations
-  /// and witnesses are replayed through the dynamic checker.
-  bool incremental = true;
   /// Test-only: each worker sleeps this long before handling a job,
   /// making queue buildup (and thus shedding) deterministic in tests.
   int64_t debug_handle_delay_millis = 0;
@@ -195,9 +184,10 @@ class ServeServer {
     Deadline client_deadline;
   };
 
-  /// One solved specification remembered for the incremental path:
-  /// the constraints it carried, its definitive outcome, and (when a
-  /// client has paid for them) its minimized core and witness.
+  /// One solved specification remembered for incremental
+  /// re-verification (docs/serving.md): the constraints it carried,
+  /// its definitive outcome, its witness (CONSISTENT) and, when a
+  /// client has paid for it, its minimized core (INCONSISTENT).
   struct HistoryEntry {
     ConstraintSet constraints;
     ConstraintSet core;  // meaningful only when has_core
@@ -219,28 +209,28 @@ class ServeServer {
                      const std::string& line);
   void RequestStop();
 
-  /// Per-request checker options with freshly stamped budgets; the
-  /// connection's cancel token rides on the deadline so the check
-  /// aborts cooperatively when the client goes away.
-  ConsistencyChecker::Options StampedCheckOptions(
-      int64_t timeout_millis, const CancelToken* cancel) const;
-  /// Effective per-request timeout at pickup: the server ceiling
+  /// The limits of one check of `job` at pickup: the server ceiling
   /// (stamped now) tightened by what remains of the client deadline
-  /// (stamped at enqueue).
-  int64_t EffectiveTimeout(const Job& job) const;
+  /// (stamped at enqueue), and the server's memory and depth ceilings.
+  /// OptionsForOneCheck stamps them, with the connection's cancel
+  /// token, so the check aborts cooperatively when the client goes
+  /// away.
+  CheckLimits PickupLimits(const Job& job) const;
   /// Minimizes an unsat core for an INCONSISTENT spec under a fresh
   /// request-sized budget; returns the rendered constraint text ("" on
-  /// failure) and the core set itself via `core_out` (when non-null).
-  std::string ComputeCoreText(const Specification& spec,
-                              int64_t timeout_millis,
-                              const CancelToken* cancel,
+  /// failure or cancellation) and the core set itself via `core_out`
+  /// (when non-null).
+  std::string ComputeCoreText(const Specification& spec, const Job& job,
                               ConstraintSet* core_out);
-  /// Remembers a definitive verdict for the incremental path
-  /// (bounded per DTD and globally; replaces an entry with the same
-  /// constraint text).
+  /// Remembers a definitive verdict for the incremental path: appends
+  /// it to its DTD's entries and drops the oldest beyond
+  /// kHistoryPerDtd; too many DTDs clear the whole map.
   void RecordHistory(const std::string& dtd_text, HistoryEntry entry);
-  /// Tries to confirm a cached verdict for `spec` from the history of
-  /// its DTD via quick-tier implication. On success fills `confirmed`.
+  /// Tries to confirm a verdict for `spec` from the history of its
+  /// DTD, newest entry first: a CONSISTENT entry by replaying its
+  /// witness through the document checker on `spec`, an INCONSISTENT
+  /// one by quick-tier implication of its core. On success fills
+  /// `confirmed`, whose note names the class of `spec`.
   bool TryIncremental(const Specification& spec, HistoryEntry* confirmed);
 
   ServeOptions options_;

@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include "base/cancel.h"
+
 namespace xmlverify {
 namespace {
 
@@ -27,6 +29,21 @@ TEST(DeadlineTest, FutureDeadlineExpiresAfterItsBudget) {
   EXPECT_GT(deadline.Remaining(), Deadline::Clock::duration::zero());
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_TRUE(deadline.Expired());
+}
+
+TEST(DeadlineTest, RestartedKeepsTheCancelToken) {
+  CancelToken token;
+  Deadline base = Deadline::AfterMillis(0).WithCancelToken(token);
+  Deadline restarted = base.Restarted(std::chrono::hours(1));
+  EXPECT_FALSE(restarted.Expired());
+  Deadline unbounded = base.Restarted(Deadline::Clock::duration::max());
+  EXPECT_FALSE(unbounded.is_infinite());  // still cancellable
+  EXPECT_EQ(unbounded.Remaining(), Deadline::Clock::duration::max());
+  token.Cancel();
+  EXPECT_TRUE(restarted.Expired());
+  EXPECT_TRUE(unbounded.Expired());
+  EXPECT_TRUE(Deadline().Restarted(Deadline::Clock::duration::max())
+                  .is_infinite());
 }
 
 TEST(PeriodicDeadlineCheckTest, InfiniteDeadlineIsFree) {

@@ -15,7 +15,6 @@ TEST(ResourceBudgetTest, UnlimitedBudgetNeverFails) {
   ResourceBudget budget;
   EXPECT_OK(budget.ChargeMemory(int64_t{1} << 40, "test/huge"));
   EXPECT_OK(budget.CheckDepth(1'000'000, "test/deep"));
-  EXPECT_OK(budget.CheckDeadline("test/clock"));
   EXPECT_EQ(budget.memory_used(), int64_t{1} << 40);
 }
 
@@ -68,13 +67,6 @@ TEST(ResourceBudgetTest, DepthCeilingIsEnforced) {
   EXPECT_OK(budget.CheckDepth(10, "test/depth"));
   Status deep = budget.CheckDepth(11, "test/depth");
   EXPECT_EQ(deep.code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ResourceBudgetTest, ExpiredDeadlineIsDeadlineExceededNotResource) {
-  ResourceBudget budget;
-  budget.set_deadline(Deadline::AfterMillis(0));
-  Status expired = budget.CheckDeadline("test/clock");
-  EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ResourceBudgetTest, ConcurrentChargesNeverExceedTheCeiling) {

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "base/fault_injection.h"
+#include "core/canonical.h"
 #include "encoding/cardinality.h"
+#include "reductions/cnf_depth2.h"
 #include "regex/automaton.h"
 #include "tests/test_util.h"
 
@@ -221,7 +223,7 @@ TEST_F(BatchRunnerTest, PerCheckDeadlineYieldsDeadlineVerdict) {
   }
   BatchOptions options;
   options.jobs = 2;
-  options.timeout_millis = 1;
+  options.limits.timeout_millis = 1;
   // Deadline::AfterMillis(1) may legitimately survive a fast check;
   // retry logic would race the clock. Instead rely on the checks
   // being slower than 0ms only when the budget is truly 0 — assert
@@ -232,6 +234,38 @@ TEST_F(BatchRunnerTest, PerCheckDeadlineYieldsDeadlineVerdict) {
                 result.deadline_exceeded;
   EXPECT_EQ(counted, 3);
   EXPECT_EQ(result.errors, 0);
+}
+
+TEST_F(BatchRunnerTest, MemoryLimitAppliesToEachCheckNotTheWholeBatch) {
+  // A satisfiable CNF as a depth-2 spec: one check charges a few
+  // hundred KB of search nodes and tableaux. Measure one check's
+  // tracked peak, then give every check half as much again.
+  ASSERT_OK_AND_ASSIGN(Specification spec,
+                       CnfToDepth2Spec(CnfFormula::Random(6, 12, 3, 12)));
+  ConsistencyChecker::Options alone;
+  alone.build_witness = false;  // as in batch mode
+  ASSERT_OK_AND_ASSIGN(ConsistencyVerdict verdict,
+                       ConsistencyChecker(alone).Check(spec));
+  ASSERT_EQ(verdict.outcome, ConsistencyOutcome::kConsistent);
+  const int64_t peak = alone.budget.memory_peak();
+  ASSERT_GT(peak, 0);
+
+  const std::string path = WriteFile(dir_ + "/cnf.xvc", CanonicalSpecText(spec));
+  std::vector<BatchEntry> entries(32);
+  for (int i = 0; i < 32; ++i) {
+    entries[i].dtd_path = path;
+    entries[i].line = i + 1;
+  }
+  // Checks running side by side must not charge each other: every
+  // one of them fits under its own limit.
+  for (int jobs : {1, 4}) {
+    BatchOptions options;
+    options.jobs = jobs;
+    options.limits.memory_limit_bytes = peak * 3 / 2;
+    BatchResult result = RunBatch(entries, options);
+    EXPECT_EQ(result.consistent, 32) << "jobs=" << jobs;
+    EXPECT_EQ(result.unknown, 0) << "jobs=" << jobs;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <string_view>
+
+#include "base/cancel.h"
 #include "base/resource_guard.h"
+#include "core/canonical.h"
 #include "core/implication.h"
+#include "reductions/cnf_depth2.h"
 #include "tests/test_util.h"
+#include "trace/trace.h"
 
 namespace xmlverify {
 namespace {
@@ -56,12 +66,12 @@ a.id <= b.id
 b.id -> b
 )")
           .ValueOrDie();
-  DiagnosisOptions options;
-  options.checker.budget.set_memory_limit_bytes(8 << 20);
+  ConsistencyChecker::Options options;
+  options.budget.set_memory_limit_bytes(8 << 20);
   // Park the caller's accounting 1KB below its ceiling for the whole
   // minimization. Probes sharing this accounting would all fail with
   // RESOURCE_EXHAUSTED; probes with fresh accounting never notice.
-  ScopedMemoryCharge parked(options.checker.budget, (8 << 20) - 1024,
+  ScopedMemoryCharge parked(options.budget, (8 << 20) - 1024,
                             "test/parked");
   ASSERT_OK(parked.status());
   ASSERT_OK_AND_ASSIGN(
@@ -74,6 +84,49 @@ b.id -> b
   EXPECT_EQ(core.absolute_inclusions().size(), 1u);
   ASSERT_OK_AND_ASSIGN(int a, spec.dtd.TypeId("a"));
   EXPECT_EQ(core.absolute_keys()[0].type, a);
+}
+
+// Trips `token` as each top-level `check` span ends, so the first one
+// to end is the minimization's whole-spec check.
+class CancelWhenACheckEnds : public TraceSink {
+ public:
+  explicit CancelWhenACheckEnds(CancelToken token) : token_(std::move(token)) {}
+  void SpanBegin(std::string_view, int) override {}
+  void SpanEnd(std::string_view name, int, int64_t) override {
+    if (name != "check") return;
+    ++checks_;
+    token_.Cancel();
+  }
+  void CounterAdd(std::string_view, int64_t, int) override {}
+  int checks() const { return checks_; }
+
+ private:
+  CancelToken token_;
+  int checks_ = 0;
+};
+
+TEST(DiagnosisTest, CancellationStopsTheMinimization) {
+  Specification spec =
+      Specification::Parse(R"(
+<!ELEMENT r (a, a, b, c+)>
+<!ATTLIST a ref>
+<!ATTLIST b id>
+<!ATTLIST c v>
+)",
+                           "a.ref -> a\na.ref <= b.id\nc.v -> c\n")
+          .ValueOrDie();
+  CancelToken token;
+  ConsistencyChecker::Options options;
+  options.deadline = Deadline().WithCancelToken(token);
+  StatsRegistry registry;
+  CancelWhenACheckEnds sink(token);
+  TraceSession session(&registry, &sink);
+  Result<ConstraintSet> core =
+      MinimizeInconsistentCore(spec.dtd, spec.constraints, options);
+  // A cancelled minimization returns no partial core and starts no
+  // probe after the token trips.
+  EXPECT_EQ(core.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(sink.checks(), 1);
 }
 
 TEST(DiagnosisTest, ImplicationPruningLeavesNoImpliedConstraintInTheCore) {
@@ -210,6 +263,35 @@ TEST(RedundancyTest, KeepsLoadBearingConstraints) {
       RemoveRedundantConstraints(spec.dtd, spec.constraints));
   EXPECT_EQ(pruned.size(), spec.constraints.size());
 }
+
+#if defined(XMLVC_BINARY_PATH)
+
+TEST(DiagnosisTest, CliDiagnoseAndSimplifyHonourTheTimeout) {
+  // An unsatisfiable CNF as a depth-2 spec with 104 constraints. One
+  // check takes far longer than the 5 ms budget; unbounded, diagnose
+  // and simplify each run for many seconds (a probe per constraint).
+  ASSERT_OK_AND_ASSIGN(Specification spec,
+                       CnfToDepth2Spec(CnfFormula::Random(7, 30, 3, 2)));
+  ASSERT_EQ(spec.constraints.size(), 104);
+  const std::string path =
+      ::testing::TempDir() + "/cli_diagnose_and_simplify.xvc";
+  std::ofstream(path) << CanonicalSpecText(spec);
+  for (const char* command : {"diagnose", "simplify"}) {
+    const auto start = std::chrono::steady_clock::now();
+    const int status =
+        std::system((std::string(XMLVC_BINARY_PATH) + " " + command + " " +
+                     path + " --timeout=5 > /dev/null 2>&1")
+                        .c_str());
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_NE(status, -1) << command;
+    // Each probe gets the whole 5 ms: (104 + 2) x 5 ms, plus the
+    // encoding that runs before the first deadline poll.
+    EXPECT_LT(wall.count(), 5.0) << command;
+  }
+}
+
+#endif  // XMLVC_BINARY_PATH
 
 }  // namespace
 }  // namespace xmlverify

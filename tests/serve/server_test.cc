@@ -193,15 +193,24 @@ TEST_F(ServerTest, IncrementalReVerificationConfirmsFromHistory) {
   EXPECT_GE(stats_.Counter("serve/incremental_hits"), 2);
 }
 
-TEST_F(ServerTest, NoIncrementalFlagForcesColdSolves) {
-  StartServer(ServeOptions{.jobs = 1, .incremental = false});
-  EXPECT_TRUE(Contains(RoundTrip(SpecRequest("c1", kConsistentSpec)),
-                       "\"cached\":false"));
-  std::string dropped = RoundTrip(SpecRequest("c2", kDroppedConstraintSpec));
-  EXPECT_TRUE(Contains(dropped, "\"verdict\":\"CONSISTENT\"")) << dropped;
-  EXPECT_TRUE(Contains(dropped, "\"cached\":false")) << dropped;
+TEST_F(ServerTest, AddedConstraintIsConfirmedByWitnessReplayAlone) {
+  StartServer(ServeOptions{.jobs = 1});
+  std::string base = RoundTrip(SpecRequest("d1", kDroppedConstraintSpec));
+  EXPECT_TRUE(Contains(base, "\"note\":\"class: AC_K (keys only)\""))
+      << base;
+
+  // The added key follows from no constraint at all, so no implication
+  // argument confirms it; the old witness satisfies it, and that is
+  // proof enough. The note names the class of the new spec.
+  std::string added = RoundTrip(SpecRequest("c1", kConsistentSpec));
+  EXPECT_TRUE(Contains(added, "\"verdict\":\"CONSISTENT\"")) << added;
+  EXPECT_TRUE(Contains(added, "\"cached\":true")) << added;
+  EXPECT_TRUE(
+      Contains(added, "\"note\":\"class: AC^{reg}_{K,FK} (regular paths)\""))
+      << added;
+
   server_->Shutdown();
-  EXPECT_EQ(stats_.Counter("serve/incremental_hits"), 0);
+  EXPECT_EQ(stats_.Counter("serve/incremental_hits"), 1);
 }
 
 TEST_F(ServerTest, CoresComputedOncePerSpecAndServedFromCache) {
