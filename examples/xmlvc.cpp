@@ -12,7 +12,8 @@
 //   xmlvc diagnose <spec.dtd> <constraints.txt>
 //       For an inconsistent specification, prints a minimal
 //       inconsistent core (drop any one of its constraints and a
-//       document exists).
+//       document exists). Exits 4 or 5, like check, when the whole
+//       specification does not settle within --timeout or the budget.
 //   xmlvc simplify <spec.dtd> <constraints.txt>
 //       Drops the absolute unary constraints the others imply.
 //   xmlvc --batch <manifest>
@@ -318,7 +319,11 @@ int RunCommand(int argc, char** argv, const BudgetFlags& budget) {
         spec->dtd, spec->constraints, OptionsForOneCheck(budget.limits));
     if (!core.ok()) {
       std::fprintf(stderr, "error: %s\n", core.status().ToString().c_str());
-      return 2;
+      switch (core.status().code()) {
+        case StatusCode::kDeadlineExceeded: return 4;
+        case StatusCode::kResourceExhausted: return 5;
+        default: return 2;
+      }
     }
     std::printf("minimal inconsistent core (%d constraints):\n%s",
                 core->size(), core->ToString(spec->dtd).c_str());

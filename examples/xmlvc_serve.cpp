@@ -45,9 +45,9 @@
 //                          grammar as XMLVERIFY_FAULT_INJECT;
 //                          docs/robustness.md)
 //   --fault-seed=N         seed for probabilistic fault rules
-//   --stats           on exit, print the JSON counter report (the
-//                     serve/* counters plus everything the checks
-//                     recorded) to stdout
+//   --stats           trace every thread and, on exit, print the JSON
+//                     counter report (the serve/* counters plus
+//                     everything the checks recorded) to stdout
 //
 // The XMLVERIFY_FAULT_INJECT / XMLVERIFY_FAULT_SEED environment
 // variables arm fault injection too (flags win when both are given).
@@ -236,8 +236,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Without --stats nothing reads the counters, so the checks run
+  // untraced.
   StatsRegistry registry;
-  options.stats = &registry;
+  if (stats) options.stats = &registry;
 
   ServeServer server(options);
   Status started = server.Start();

@@ -163,7 +163,8 @@ BatchResult RunBatch(const std::vector<BatchEntry>& entries,
   auto worker = [&]() {
     // Per-worker session on the shared (thread-safe) registry: the
     // library's trace::Count calls from every worker aggregate into
-    // one report.
+    // one report. With one job the worker runs on the caller's thread,
+    // whose own session a null registry must not mask.
     std::unique_ptr<TraceSession> session;
     if (options.stats != nullptr) {
       session = std::make_unique<TraceSession>(options.stats);

@@ -124,6 +124,16 @@ Result<ConstraintSet> MinimizeInconsistentCore(
     ConsistencyChecker checker(ProbeOptions(options, wall));
     ASSIGN_OR_RETURN(ConsistencyVerdict verdict, checker.Check(spec));
     if (options.deadline.cancelled()) return Cancelled();
+    // A budget too tight for the whole specification is a budget
+    // outcome, not an input error.
+    if (verdict.outcome == ConsistencyOutcome::kDeadlineExceeded) {
+      return Status::DeadlineExceeded(
+          "the whole specification did not settle within the deadline");
+    }
+    if (verdict.outcome == ConsistencyOutcome::kResourceExhausted) {
+      return Status::ResourceExhausted(
+          "the whole specification ran out of budget: " + verdict.note);
+    }
     if (verdict.outcome != ConsistencyOutcome::kInconsistent) {
       return Status::InvalidArgument(
           "MinimizeInconsistentCore requires an (exactly) inconsistent "

@@ -17,7 +17,10 @@ namespace xmlverify {
 /// Requires that (dtd, constraints) is inconsistent with an exact
 /// verdict; returns a minimal inconsistent core by iterative deletion
 /// (|Sigma| consistency checks). Constraints whose removal makes the
-/// verdict kUnknown are conservatively kept.
+/// verdict kUnknown are conservatively kept. When the check of the
+/// whole specification runs out of time or budget, the result is
+/// kDeadlineExceeded or kResourceExhausted; any other verdict than
+/// INCONSISTENT is kInvalidArgument.
 ///
 /// Each probe check gets `options` with a fresh accounting block and
 /// the whole wall-clock allowance `options.deadline` had at entry, so

@@ -66,8 +66,7 @@ Result<ConsistencyVerdict> CheckAbsoluteConsistency(
   TraceSpan witness_span("check/witness");
   ASSIGN_OR_RETURN(XmlTree tree, flow.BuildTree(solved.assignment));
   RETURN_IF_ERROR(AssignAbsoluteValues(dtd, constraints, cardinality,
-                                       solved.assignment,
-                                       options.value_prefix, &tree));
+                                       solved.assignment, "v", &tree));
   Status valid = CheckDocument(tree, dtd, constraints);
   if (!valid.ok()) {
     return Status::Internal("constructed witness fails dynamic validation: " +

@@ -10,7 +10,6 @@
 #ifndef XMLVERIFY_CORE_SAT_ABSOLUTE_H_
 #define XMLVERIFY_CORE_SAT_ABSOLUTE_H_
 
-#include <string>
 #include <vector>
 
 #include "base/status.h"
@@ -27,8 +26,6 @@ struct AbsoluteCheckOptions {
   /// witness is always replayed through the dynamic checker (cheap,
   /// and a strong internal soundness check).
   bool build_witness = true;
-  /// Distinct pools for the hierarchical checker's sibling scopes.
-  std::string value_prefix = "v";
   /// Element types whose extent is forced to zero (hierarchical
   /// checker pruning).
   std::vector<int> forced_empty_types;

@@ -20,105 +20,83 @@ using ScopeKey = std::pair<int, std::set<int>>;
 
 class HierarchicalChecker {
  public:
-  HierarchicalChecker(const Dtd& dtd, const ConstraintSet& relative,
-                      const RelativeGeometry& geometry,
+  HierarchicalChecker(const RelativeGeometry& geometry,
                       const HierarchicalCheckOptions& options)
-      : dtd_(dtd),
-        relative_(relative),
-        geometry_(geometry),
-        options_(options) {}
+      : geometry_(geometry), options_(options) {}
 
-  // Decides consistency of the scope rooted at a `tau` node reached
-  // along a path whose context types are `contexts` (tau included).
-  Result<bool> ScopeConsistent(int tau, const std::set<int>& contexts) {
+  // The verdict of the scope rooted at a `tau` node reached along a
+  // path whose context types are `contexts` (tau included), with its
+  // scope-local witness when the check builds witnesses. Each distinct
+  // scope is solved once; later lookups, from the decision recursion
+  // and from the witness stitching alike, read the memo. Entries are
+  // never erased and `std::map` nodes are stable, so the pointer stays
+  // valid while deeper scopes are inserted.
+  Result<const ConsistencyVerdict*> Scope(int tau,
+                                          const std::set<int>& contexts) {
     ScopeKey key{tau, contexts};
     auto it = memo_.find(key);
     if (it != memo_.end()) {
       trace::Count("hierarchical/memo_hits");
-      return it->second;
+      return &it->second;
     }
-    ASSIGN_OR_RETURN(ConsistencyVerdict verdict,
-                     SolveScope(tau, contexts, /*build_witness=*/false,
-                                /*value_prefix=*/"v"));
-    bool consistent = verdict.consistent();
-    memo_[key] = consistent;
-    return consistent;
+    ASSIGN_OR_RETURN(ConsistencyVerdict verdict, SolveScope(tau, contexts));
+    return &memo_.emplace(std::move(key), std::move(verdict)).first->second;
   }
 
-  // Builds the witness for a consistent scope, recursively stitching
-  // the witnesses of its context leaves. `instance` makes value pools
-  // of distinct scope instances disjoint.
-  Result<XmlTree> BuildScopeWitness(int tau, const std::set<int>& contexts) {
-    std::string prefix = StrCat("s", std::to_string(instance_counter_++), "_");
-    ASSIGN_OR_RETURN(ConsistencyVerdict verdict,
-                     SolveScope(tau, contexts, /*build_witness=*/true, prefix));
-    if (!verdict.consistent() || !verdict.witness.has_value()) {
+  // Grafts one instance of the consistent scope (tau, contexts) onto
+  // `target`, a `tau` node of `global`. The instance's values get a
+  // fresh prefix, so the value pools of distinct instances are
+  // disjoint.
+  Status GraftScope(int tau, const std::set<int>& contexts, XmlTree* global,
+                    NodeId target) {
+    ASSIGN_OR_RETURN(const ConsistencyVerdict* scope, Scope(tau, contexts));
+    if (!scope->consistent() || !scope->witness.has_value()) {
       return Status::Internal(
           "scope declared consistent but witness construction failed");
     }
-    return *std::move(verdict.witness);
-  }
-
-  // Copies the scope-local witness into the global tree under
-  // `target`, recursing into deeper scopes at restricted leaves.
-  Status Graft(const XmlTree& scope_tree, NodeId scope_node,
-               const std::vector<int>& scope_to_global, XmlTree* global,
-               NodeId target, const std::set<int>& contexts) {
-    // Attributes of the scope node were assigned by this scope.
-    for (const auto& [attribute, value] : scope_tree.AttributesOf(scope_node)) {
-      global->SetAttribute(target, attribute, value);
-    }
-    int global_type = scope_to_global[scope_tree.TypeOf(scope_node)];
-    bool is_scope_leaf = geometry_.IsRestricted(global_type) &&
-                         scope_node != scope_tree.root();
-    if (is_scope_leaf) {
-      // Expand the deeper scope in place of this leaf.
-      std::set<int> deeper = contexts;
-      deeper.insert(global_type);
-      ASSIGN_OR_RETURN(XmlTree sub_witness,
-                       BuildScopeWitness(global_type, deeper));
-      std::vector<int> identity(dtd_.num_element_types());
-      // The deeper scope has its own type numbering.
-      ASSIGN_OR_RETURN(Dtd scope_dtd, geometry_.ScopeDtd(global_type));
-      std::vector<int> deeper_to_global(scope_dtd.num_element_types());
-      std::vector<int> scope_types = geometry_.ScopeTypes(global_type);
-      for (size_t i = 0; i < scope_types.size(); ++i) {
-        deeper_to_global[i] = scope_types[i];
-      }
-      for (NodeId child : sub_witness.ChildrenOf(sub_witness.root())) {
-        RETURN_IF_ERROR(GraftSubtree(sub_witness, child, deeper_to_global,
-                                     global, target, deeper));
-      }
-      return Status::OK();
-    }
-    for (NodeId child : scope_tree.ChildrenOf(scope_node)) {
-      RETURN_IF_ERROR(GraftSubtree(scope_tree, child, scope_to_global, global,
-                                   target, contexts));
-    }
-    return Status::OK();
-  }
-
-  // Creates the global node for `scope_node` under `parent`, then
-  // recurses via Graft.
-  Status GraftSubtree(const XmlTree& scope_tree, NodeId scope_node,
-                      const std::vector<int>& scope_to_global, XmlTree* global,
-                      NodeId parent, const std::set<int>& contexts) {
-    if (scope_tree.IsText(scope_node)) {
-      global->AddText(parent, scope_tree.TextOf(scope_node));
-      return Status::OK();
-    }
-    int global_type = scope_to_global[scope_tree.TypeOf(scope_node)];
-    NodeId target = global->AddElement(parent, global_type);
-    return Graft(scope_tree, scope_node, scope_to_global, global, target,
-                 contexts);
+    std::string prefix = StrCat("s", std::to_string(instances_++), "_");
+    return GraftNode(*scope->witness, scope->witness->root(),
+                     geometry_.ScopeTypes(tau), prefix, contexts, global,
+                     target);
   }
 
   CheckStats& stats() { return stats_; }
 
  private:
-  Result<ConsistencyVerdict> SolveScope(int tau, const std::set<int>& contexts,
-                                        bool build_witness,
-                                        const std::string& value_prefix) {
+  // Copies `node` of a scope witness, whose type ids index
+  // `scope_types`, onto `target` and its subtree below it. A restricted
+  // leaf expands into a fresh instance of its deeper scope.
+  Status GraftNode(const XmlTree& scope_tree, NodeId node,
+                   const std::vector<int>& scope_types,
+                   const std::string& prefix, const std::set<int>& contexts,
+                   XmlTree* global, NodeId target) {
+    for (const auto& [attribute, value] : scope_tree.AttributesOf(node)) {
+      global->SetAttribute(target, attribute, prefix + value);
+    }
+    int type = scope_types[scope_tree.TypeOf(node)];
+    if (node != scope_tree.root() && geometry_.IsRestricted(type)) {
+      std::set<int> deeper = contexts;
+      deeper.insert(type);
+      return GraftScope(type, deeper, global, target);
+    }
+    for (NodeId child : scope_tree.ChildrenOf(node)) {
+      if (scope_tree.IsText(child)) {
+        global->AddText(target, scope_tree.TextOf(child));
+        continue;
+      }
+      NodeId copy =
+          global->AddElement(target, scope_types[scope_tree.TypeOf(child)]);
+      RETURN_IF_ERROR(GraftNode(scope_tree, child, scope_types, prefix,
+                                contexts, global, copy));
+    }
+    return Status::OK();
+  }
+
+  // Solves the scope (tau, contexts) with the absolute checker after
+  // pruning its inconsistent sub-scopes. Only definitive verdicts
+  // return a value; the other outcomes surface as a Status.
+  Result<ConsistencyVerdict> SolveScope(int tau,
+                                        const std::set<int>& contexts) {
     TraceSpan scope_span("hierarchical/scope");
     // One check per scope bounds the recursion; the ILP below polls
     // the same deadline at finer grain.
@@ -143,8 +121,8 @@ class HierarchicalChecker {
       ++fanout;
       std::set<int> deeper = contexts;
       deeper.insert(type);
-      ASSIGN_OR_RETURN(bool consistent, ScopeConsistent(type, deeper));
-      if (!consistent) forced_empty.push_back(map[type]);
+      ASSIGN_OR_RETURN(const ConsistencyVerdict* sub, Scope(type, deeper));
+      if (!sub->consistent()) forced_empty.push_back(map[type]);
     }
     trace::Count("hierarchical/scope_fanout", fanout);
     std::vector<int> path_types(contexts.begin(), contexts.end());
@@ -153,8 +131,7 @@ class HierarchicalChecker {
 
     AbsoluteCheckOptions scope_options;
     scope_options.solver = options_.solver;
-    scope_options.build_witness = build_witness;
-    scope_options.value_prefix = value_prefix;
+    scope_options.build_witness = options_.build_witness;
     scope_options.forced_empty_types = std::move(forced_empty);
     ASSIGN_OR_RETURN(
         ConsistencyVerdict verdict,
@@ -181,13 +158,11 @@ class HierarchicalChecker {
     return verdict;
   }
 
-  const Dtd& dtd_;
-  const ConstraintSet& relative_;
   const RelativeGeometry& geometry_;
   const HierarchicalCheckOptions& options_;
-  std::map<ScopeKey, bool> memo_;
+  std::map<ScopeKey, ConsistencyVerdict> memo_;
   CheckStats stats_;
-  int64_t instance_counter_ = 0;
+  int64_t instances_ = 0;
 };
 
 }  // namespace
@@ -240,14 +215,14 @@ Result<ConsistencyVerdict> CheckHierarchicalConsistency(
         "checker");
   }
 
-  HierarchicalChecker checker(dtd, relative, geometry, options);
+  HierarchicalChecker checker(geometry, options);
   std::set<int> root_contexts = {dtd.root()};
-  ASSIGN_OR_RETURN(bool consistent,
-                   checker.ScopeConsistent(dtd.root(), root_contexts));
+  ASSIGN_OR_RETURN(const ConsistencyVerdict* root,
+                   checker.Scope(dtd.root(), root_contexts));
 
   ConsistencyVerdict verdict;
   verdict.stats = checker.stats();
-  if (!consistent) {
+  if (!root->consistent()) {
     verdict.outcome = ConsistencyOutcome::kInconsistent;
     return verdict;
   }
@@ -255,18 +230,9 @@ Result<ConsistencyVerdict> CheckHierarchicalConsistency(
   if (!options.build_witness) return verdict;
 
   TraceSpan witness_span("check/witness");
-  ASSIGN_OR_RETURN(XmlTree root_scope,
-                   checker.BuildScopeWitness(dtd.root(), root_contexts));
   XmlTree global(dtd.root());
-  std::vector<int> scope_types = geometry.ScopeTypes(dtd.root());
-  ASSIGN_OR_RETURN(Dtd root_scope_dtd, geometry.ScopeDtd(dtd.root()));
-  std::vector<int> scope_to_global(root_scope_dtd.num_element_types());
-  for (size_t i = 0; i < scope_types.size(); ++i) {
-    scope_to_global[i] = scope_types[i];
-  }
-  RETURN_IF_ERROR(checker.Graft(root_scope, root_scope.root(), scope_to_global,
-                                &global, global.root(), root_contexts));
-  verdict.stats = checker.stats();
+  RETURN_IF_ERROR(
+      checker.GraftScope(dtd.root(), root_contexts, &global, global.root()));
   Status valid = CheckDocument(global, dtd, relative);
   if (!valid.ok()) {
     return Status::Internal(

@@ -228,10 +228,7 @@ void ServeServer::Shutdown() {
 }
 
 void ServeServer::SnapshotLoop() {
-  std::unique_ptr<TraceSession> session;
-  if (options_.stats != nullptr) {
-    session = std::make_unique<TraceSession>(options_.stats);
-  }
+  TraceSession session(options_.stats);
   const auto interval =
       std::chrono::milliseconds(options_.snapshot_interval_millis);
   while (true) {
@@ -246,10 +243,7 @@ void ServeServer::SnapshotLoop() {
 }
 
 void ServeServer::AcceptLoop() {
-  std::unique_ptr<TraceSession> session;
-  if (options_.stats != nullptr) {
-    session = std::make_unique<TraceSession>(options_.stats);
-  }
+  TraceSession session(options_.stats);
   while (!stop_.load()) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -325,10 +319,7 @@ void ServeServer::AcceptLoop() {
 }
 
 void ServeServer::ReadLoop(std::shared_ptr<Connection> conn) {
-  std::unique_ptr<TraceSession> session;
-  if (options_.stats != nullptr) {
-    session = std::make_unique<TraceSession>(options_.stats);
-  }
+  TraceSession session(options_.stats);
   std::string buffer;
   bool discarding = false;
   bool peer_failed = false;
@@ -370,46 +361,32 @@ void ServeServer::ReadLoop(std::shared_ptr<Connection> conn) {
     if (options_.idle_timeout_millis > 0) {
       idle = Deadline::AfterMillis(options_.idle_timeout_millis);
     }
-    size_t begin = 0;
-    for (ssize_t i = 0; i < n; ++i) {
-      if (chunk[i] != '\n') continue;
-      if (discarding) {
-        // The tail of an oversized line: drop it and resume framing.
-        discarding = false;
-        buffer.clear();
-      } else {
-        buffer.append(chunk + begin, static_cast<size_t>(i) - begin);
-        // A line can exceed the cap within a single recv chunk, so the
-        // limit is enforced at completion too, not just while buffering.
+    const char* const end = chunk + n;
+    for (const char* begin = chunk; begin < end;) {
+      const char* newline = std::find(begin, end, '\n');
+      if (!discarding) {
+        buffer.append(begin, newline);
+        // A line can exceed the cap while buffering or, within a
+        // single recv chunk, only once it is complete.
         if (buffer.size() > options_.max_line_bytes) {
           trace::Count("serve/oversized_lines");
-          WriteResponse(conn,
-                        FormatErrorResponse(
-                            "", "LINE_TOO_LONG",
-                            "request line exceeds " +
-                                std::to_string(options_.max_line_bytes) +
-                                " bytes",
-                            false));
-        } else {
-          HandleLine(conn, buffer);
+          WriteResponse(conn, FormatErrorResponse(
+                                  "", "LINE_TOO_LONG",
+                                  "request line exceeds " +
+                                      std::to_string(options_.max_line_bytes) +
+                                      " bytes",
+                                  false));
+          buffer.clear();
+          discarding = true;
         }
-        buffer.clear();
       }
-      begin = static_cast<size_t>(i) + 1;
-    }
-    if (!discarding) {
-      buffer.append(chunk + begin, static_cast<size_t>(n) - begin);
-      if (buffer.size() > options_.max_line_bytes) {
-        trace::Count("serve/oversized_lines");
-        WriteResponse(conn, FormatErrorResponse(
-                                "", "LINE_TOO_LONG",
-                                "request line exceeds " +
-                                    std::to_string(options_.max_line_bytes) +
-                                    " bytes",
-                                false));
-        buffer.clear();
-        discarding = true;
-      }
+      if (newline == end) break;
+      // A complete line; the tail of an oversized one is dropped and
+      // framing resumes after it.
+      if (!discarding) HandleLine(conn, buffer);
+      discarding = false;
+      buffer.clear();
+      begin = newline + 1;
     }
   }
   if (peer_failed) {
@@ -449,7 +426,6 @@ void ServeServer::HandleLine(const std::shared_ptr<Connection>& conn,
   // shed at pickup instead of being solved for nobody. The server
   // ceiling is still stamped at pickup (see HandleRequest).
   if (job.request.timeout_millis > 0) {
-    job.has_client_deadline = true;
     job.client_deadline = Deadline::AfterMillis(job.request.timeout_millis);
   }
   std::string id = job.request.id;
@@ -476,10 +452,7 @@ bool ServeServer::TryEnqueue(Job job) {
 }
 
 void ServeServer::WorkerLoop() {
-  std::unique_ptr<TraceSession> session;
-  if (options_.stats != nullptr) {
-    session = std::make_unique<TraceSession>(options_.stats);
-  }
+  TraceSession session(options_.stats);
   while (true) {
     Job job;
     {
@@ -504,7 +477,7 @@ void ServeServer::WorkerLoop() {
 CheckLimits ServeServer::PickupLimits(const Job& job) const {
   CheckLimits limits;
   limits.timeout_millis = options_.timeout_millis;  // server ceiling
-  if (job.has_client_deadline) {
+  if (!job.client_deadline.is_infinite()) {
     // What remains of the enqueue-stamped client budget; the expired
     // case is shed before this is called, so clamp to 1ms as a race
     // guard rather than re-deciding here.
@@ -521,25 +494,6 @@ CheckLimits ServeServer::PickupLimits(const Job& job) const {
   return limits;
 }
 
-std::string ServeServer::ComputeCoreText(const Specification& spec,
-                                         const Job& job,
-                                         ConstraintSet* core_out) {
-  // The minimization runs |Sigma|+1 probe checks; it gets one fresh
-  // request-sized budget here, and MinimizeInconsistentCore derives a
-  // fresh per-probe budget from it (core/diagnosis.cc). A tripped
-  // cancel token fails it, so a dead client's request records no core.
-  Result<ConstraintSet> core = MinimizeInconsistentCore(
-      spec.dtd, spec.constraints,
-      OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
-  if (!core.ok()) {
-    trace::Count("serve/core_failed");
-    return std::string();
-  }
-  trace::Count("serve/core_computed");
-  if (core_out != nullptr) *core_out = *core;
-  return core->ToString(spec.dtd);
-}
-
 void ServeServer::RecordHistory(const std::string& dtd_text,
                                 HistoryEntry entry) {
   std::lock_guard<std::mutex> lock(history_mutex_);
@@ -553,7 +507,7 @@ void ServeServer::RecordHistory(const std::string& dtd_text,
 }
 
 bool ServeServer::TryIncremental(const Specification& spec,
-                                 HistoryEntry* confirmed) {
+                                 CachedVerdict* confirmed) {
   std::vector<HistoryEntry> candidates;
   {
     std::lock_guard<std::mutex> lock(history_mutex_);
@@ -569,12 +523,10 @@ bool ServeServer::TryIncremental(const Specification& spec,
     if (old.outcome == ConsistencyOutcome::kInconsistent) {
       // Sigma_new |= core (or the full old Sigma): any document
       // satisfying the new spec would satisfy an inconsistent set.
-      const ConstraintSet& base = old.has_core ? old.core : old.constraints;
+      const ConstraintSet& base = old.core ? *old.core : old.constraints;
       if (!engine.QuickImpliesAll(spec.dtd, spec.constraints, base)) {
         continue;
       }
-      *confirmed = old;
-      confirmed->witness_xml.clear();
     } else {
       // The history holds definitive verdicts only, so `old` is
       // CONSISTENT. A document that conforms to the DTD and satisfies
@@ -587,13 +539,13 @@ bool ServeServer::TryIncremental(const Specification& spec,
         trace::Count("serve/incremental_witness_rejected");
         continue;
       }
-      *confirmed = old;
     }
-    // The old core need not be a subset of the new constraints;
-    // core-requesting clients get a fresh minimization instead.
-    confirmed->has_core = false;
-    confirmed->core = ConstraintSet();
+    // The old core need not be a subset of the new constraints, so it
+    // is not carried over: core-requesting clients get a fresh
+    // minimization instead.
+    confirmed->outcome = old.outcome;
     confirmed->note = "class: " + ConstraintClassName(spec.Classify());
+    confirmed->witness_xml = old.witness_xml;
     return true;
   }
   return false;
@@ -610,7 +562,7 @@ void ServeServer::HandleRequest(const Job& job) {
     trace::Count("serve/cancelled");
     return;
   }
-  if (job.has_client_deadline && job.client_deadline.Expired()) {
+  if (job.client_deadline.Expired()) {
     trace::Count("serve/queue_expired");
     WriteResponse(job.conn,
                   FormatVerdictResponse(
@@ -659,123 +611,96 @@ void ServeServer::HandleRequest(const Job& job) {
 
   const std::string canonical = CanonicalSpecText(*spec);
   const std::string fingerprint = FingerprintText(canonical);
-  if (auto hit = cache_.LookupCanonical(canonical, raw_key)) {
+  // The other sources fill one answer: a canonical-tier hit, a
+  // confirmation from the DTD's history, or a cold solve. The last two
+  // are new answers, which the cache and the history store.
+  CachedVerdict answer;
+  bool solved = false;
+  const std::shared_ptr<const CachedVerdict> hit =
+      cache_.LookupCanonical(canonical, raw_key);
+  if (hit != nullptr) {
     trace::Count("serve/cache_hits");
-    std::string core_text = hit->core_text;
-    if (request.want_core &&
-        hit->outcome == ConsistencyOutcome::kInconsistent &&
-        core_text.empty()) {
-      ConstraintSet core;
-      core_text = ComputeCoreText(*spec, job, &core);
-      if (!core_text.empty()) {
-        cache_.AttachCore(canonical, raw_key, core_text);
-        HistoryEntry entry;
-        entry.constraints = spec->constraints;
-        entry.core = core;
-        entry.has_core = true;
-        entry.outcome = hit->outcome;
-        entry.note = hit->note;
-        RecordHistory(spec->dtd.ToString(), std::move(entry));
+    answer = *hit;
+  } else {
+    trace::Count("serve/cache_misses");
+    answer.fingerprint = fingerprint;
+    // Incremental re-verification: before paying for a cold solve, try
+    // to confirm a verdict previously computed for the same DTD — by
+    // replaying an old witness, or for INCONSISTENT by quick-tier
+    // implication (docs/serving.md).
+    if (TryIncremental(*spec, &answer)) {
+      trace::Count("serve/incremental_hits");
+    } else {
+      // The server ceiling is stamped when the worker picks the job up
+      // (queueing time is not charged against it; batch-runner
+      // contract), tightened by what remains of the enqueue-stamped
+      // client deadline. The connection's cancel token rides on the
+      // deadline, so the check aborts cooperatively the moment the
+      // reader declares the peer dead.
+      ConsistencyChecker checker(
+          OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
+      Result<ConsistencyVerdict> verdict = checker.Check(*spec);
+      if (!verdict.ok()) {
+        if (job.conn->cancel.cancelled()) {
+          // The client is gone; its budget-shaped failure is nobody's
+          // business and the socket is dead anyway.
+          trace::Count("serve/cancelled");
+          trace::Count("serve/cancelled_inflight");
+          return;
+        }
+        trace::Count("serve/check_errors");
+        bool retryable =
+            verdict.status().code() == StatusCode::kDeadlineExceeded ||
+            verdict.status().code() == StatusCode::kResourceExhausted;
+        WriteResponse(job.conn, FormatErrorResponse(
+                                    request.id, "CHECK_FAILED",
+                                    verdict.status().message(), retryable));
+        return;
+      }
+      solved = true;
+      answer.outcome = verdict->outcome;
+      answer.note = verdict->note;
+      if (verdict->witness.has_value()) {
+        answer.witness_xml = verdict->witness->ToXml(spec->dtd);
       }
     }
-    WriteResponse(job.conn,
-                  FormatVerdictResponse(request.id, hit->outcome, hit->note,
-                                        hit->fingerprint, /*cached=*/true,
-                                        hit->witness_xml, request.want_witness,
-                                        core_text, request.want_core));
-    return;
-  }
-  trace::Count("serve/cache_misses");
-
-  // Incremental re-verification: before paying for a cold solve, try
-  // to confirm a verdict previously computed for the same DTD — by
-  // replaying an old witness, or for INCONSISTENT by quick-tier
-  // implication (docs/serving.md).
-  HistoryEntry confirmed;
-  if (TryIncremental(*spec, &confirmed)) {
-    trace::Count("serve/incremental_hits");
-    cache_.Insert(canonical, raw_key, fingerprint, confirmed.outcome,
-                  confirmed.note, confirmed.witness_xml);
-    std::string core_text;
-    if (request.want_core &&
-        confirmed.outcome == ConsistencyOutcome::kInconsistent) {
-      ConstraintSet core;
-      core_text = ComputeCoreText(*spec, job, &core);
-      if (!core_text.empty()) {
-        cache_.AttachCore(canonical, raw_key, core_text);
-        confirmed.core = core;
-        confirmed.has_core = true;
-      }
-    }
-    HistoryEntry record = confirmed;
-    record.constraints = spec->constraints;
-    RecordHistory(spec->dtd.ToString(), std::move(record));
-    WriteResponse(job.conn,
-                  FormatVerdictResponse(request.id, confirmed.outcome,
-                                        confirmed.note, fingerprint,
-                                        /*cached=*/true, confirmed.witness_xml,
-                                        request.want_witness, core_text,
-                                        request.want_core));
-    return;
+    // Only definitive verdicts enter the cache; Insert enforces the
+    // policy (UNKNOWN/DEADLINE_EXCEEDED/RESOURCE_EXHAUSTED describe
+    // this run's budget, not the specification).
+    cache_.Insert(canonical, raw_key, fingerprint, answer.outcome, answer.note,
+                  answer.witness_xml);
   }
 
-  // The server ceiling is stamped when the worker picks the job up
-  // (queueing time is not charged against it; batch-runner contract),
-  // tightened by what remains of the enqueue-stamped client deadline.
-  // The connection's cancel token rides on the deadline, so the check
-  // aborts cooperatively the moment the reader declares the peer dead.
-  ConsistencyChecker checker(
-      OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
-  Result<ConsistencyVerdict> verdict = checker.Check(*spec);
-  if (!verdict.ok()) {
-    if (job.conn->cancel.cancelled()) {
-      // The client is gone; its budget-shaped failure is nobody's
-      // business and the socket is dead anyway.
-      trace::Count("serve/cancelled");
-      trace::Count("serve/cancelled_inflight");
-      return;
-    }
-    trace::Count("serve/check_errors");
-    bool retryable =
-        verdict.status().code() == StatusCode::kDeadlineExceeded ||
-        verdict.status().code() == StatusCode::kResourceExhausted;
-    WriteResponse(job.conn,
-                  FormatErrorResponse(request.id, "CHECK_FAILED",
-                                      verdict.status().message(), retryable));
-    return;
-  }
-
-  std::string witness_xml;
-  if (verdict->witness.has_value()) {
-    witness_xml = verdict->witness->ToXml(spec->dtd);
-  }
-  // Only definitive verdicts enter the cache; Insert enforces the
-  // policy (UNKNOWN/DEADLINE_EXCEEDED/RESOURCE_EXHAUSTED describe
-  // this run's budget, not the specification).
-  cache_.Insert(canonical, raw_key, fingerprint, verdict->outcome,
-                verdict->note, witness_xml);
-  std::string core_text;
-  ConstraintSet core;
-  bool has_core = false;
+  // An INCONSISTENT answer owes a core-requesting client its core,
+  // minimized at most once per cached spec. The minimization runs
+  // |Sigma|+1 probe checks; it gets one fresh request-sized budget
+  // here, and MinimizeInconsistentCore derives a fresh per-probe
+  // budget from it (core/diagnosis.cc). A tripped cancel token fails
+  // it, so a dead client's request records no core.
+  std::optional<ConstraintSet> core;
   if (request.want_core &&
-      verdict->outcome == ConsistencyOutcome::kInconsistent) {
-    core_text = ComputeCoreText(*spec, job, &core);
-    if (!core_text.empty()) {
-      cache_.AttachCore(canonical, raw_key, core_text);
-      has_core = true;
+      answer.outcome == ConsistencyOutcome::kInconsistent &&
+      answer.core_text.empty()) {
+    Result<ConstraintSet> minimized = MinimizeInconsistentCore(
+        spec->dtd, spec->constraints,
+        OptionsForOneCheck(PickupLimits(job), &job.conn->cancel));
+    if (minimized.ok()) {
+      trace::Count("serve/core_computed");
+      answer.core_text = minimized->ToString(spec->dtd);
+      cache_.AttachCore(canonical, raw_key, answer.core_text);
+      core = *std::move(minimized);
+    } else {
+      trace::Count("serve/core_failed");
     }
   }
-  if (VerdictCache::Cacheable(verdict->outcome)) {
-    HistoryEntry entry;
-    entry.constraints = spec->constraints;
-    entry.core = core;
-    entry.has_core = has_core;
-    entry.outcome = verdict->outcome;
-    entry.note = verdict->note;
-    entry.witness_xml = witness_xml;
-    RecordHistory(spec->dtd.ToString(), std::move(entry));
+  // The history remembers new definitive answers and computed cores.
+  if (core.has_value() ||
+      (hit == nullptr && VerdictCache::Cacheable(answer.outcome))) {
+    RecordHistory(spec->dtd.ToString(),
+                  HistoryEntry{spec->constraints, std::move(core),
+                               answer.outcome, answer.witness_xml});
   }
-  if (job.conn->cancel.cancelled()) {
+  if (solved && job.conn->cancel.cancelled()) {
     // The client died after the solve finished. The definitive result
     // was banked in the cache and history above — the work is not
     // wasted — but there is nobody to write to.
@@ -784,11 +709,10 @@ void ServeServer::HandleRequest(const Job& job) {
     return;
   }
   WriteResponse(job.conn,
-                FormatVerdictResponse(request.id, verdict->outcome,
-                                      verdict->note, fingerprint,
-                                      /*cached=*/false, witness_xml,
-                                      request.want_witness, core_text,
-                                      request.want_core));
+                FormatVerdictResponse(request.id, answer.outcome, answer.note,
+                                      answer.fingerprint, /*cached=*/!solved,
+                                      answer.witness_xml, request.want_witness,
+                                      answer.core_text, request.want_core));
 }
 
 void ServeServer::WriteResponse(const std::shared_ptr<Connection>& conn,

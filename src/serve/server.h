@@ -45,6 +45,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -177,10 +178,9 @@ class ServeServer {
     ServeRequest request;
     std::shared_ptr<Connection> conn;
     /// Stamped at enqueue when the request carries its own
-    /// timeout_ms, so queue wait counts against the client's budget
-    /// and an already-expired job is shed cheaply at pickup. The
-    /// server ceiling is still stamped at pickup (unchanged).
-    bool has_client_deadline = false;
+    /// timeout_ms (infinite otherwise), so queue wait counts against
+    /// the client's budget and an already-expired job is shed cheaply
+    /// at pickup. The server ceiling is still stamped at pickup.
     Deadline client_deadline;
   };
 
@@ -190,10 +190,8 @@ class ServeServer {
   /// client has paid for it, its minimized core (INCONSISTENT).
   struct HistoryEntry {
     ConstraintSet constraints;
-    ConstraintSet core;  // meaningful only when has_core
-    bool has_core = false;
+    std::optional<ConstraintSet> core;
     ConsistencyOutcome outcome = ConsistencyOutcome::kUnknown;
-    std::string note;
     std::string witness_xml;
   };
 
@@ -216,12 +214,6 @@ class ServeServer {
   /// token, so the check aborts cooperatively when the client goes
   /// away.
   CheckLimits PickupLimits(const Job& job) const;
-  /// Minimizes an unsat core for an INCONSISTENT spec under a fresh
-  /// request-sized budget; returns the rendered constraint text ("" on
-  /// failure or cancellation) and the core set itself via `core_out`
-  /// (when non-null).
-  std::string ComputeCoreText(const Specification& spec, const Job& job,
-                              ConstraintSet* core_out);
   /// Remembers a definitive verdict for the incremental path: appends
   /// it to its DTD's entries and drops the oldest beyond
   /// kHistoryPerDtd; too many DTDs clear the whole map.
@@ -229,9 +221,10 @@ class ServeServer {
   /// Tries to confirm a verdict for `spec` from the history of its
   /// DTD, newest entry first: a CONSISTENT entry by replaying its
   /// witness through the document checker on `spec`, an INCONSISTENT
-  /// one by quick-tier implication of its core. On success fills
-  /// `confirmed`, whose note names the class of `spec`.
-  bool TryIncremental(const Specification& spec, HistoryEntry* confirmed);
+  /// one by quick-tier implication of its core. On success fills the
+  /// outcome, witness and note of `confirmed`; the note names the
+  /// class of `spec`.
+  bool TryIncremental(const Specification& spec, CachedVerdict* confirmed);
 
   ServeOptions options_;
   VerdictCache cache_;

@@ -168,7 +168,34 @@ TEST(DiagnosisTest, RejectsConsistentSpecifications) {
       Specification::Parse("<!ELEMENT r (a+)>\n<!ATTLIST a v>\n",
                            "a.v -> a\n")
           .ValueOrDie();
-  EXPECT_FALSE(MinimizeInconsistentCore(spec.dtd, spec.constraints).ok());
+  Result<ConstraintSet> core =
+      MinimizeInconsistentCore(spec.dtd, spec.constraints);
+  EXPECT_EQ(core.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DiagnosisTest, ReportsABudgetTooTightForTheWholeSpecification) {
+  // An unsatisfiable CNF as a depth-2 spec, decided by the ILP solver.
+  // Running out before it is decided is a budget outcome, not a
+  // malformed input.
+  ASSERT_OK_AND_ASSIGN(Specification spec,
+                       CnfToDepth2Spec(CnfFormula::Random(7, 30, 3, 2)));
+  ConsistencyChecker::Options expired;
+  expired.deadline = Deadline::AfterMillis(0);
+  EXPECT_EQ(
+      MinimizeInconsistentCore(spec.dtd, spec.constraints, expired)
+          .status()
+          .code(),
+      StatusCode::kDeadlineExceeded);
+  // Too small for even one simplex tableau; without the degraded rung
+  // the check ends there.
+  ConsistencyChecker::Options starved;
+  starved.budget.set_memory_limit_bytes(50);
+  starved.degrade_on_exhaustion = false;
+  EXPECT_EQ(
+      MinimizeInconsistentCore(spec.dtd, spec.constraints, starved)
+          .status()
+          .code(),
+      StatusCode::kResourceExhausted);
 }
 
 TEST(DiagnosisTest, GeographyCoreKeepsTheCountingArgument) {
@@ -285,6 +312,11 @@ TEST(DiagnosisTest, CliDiagnoseAndSimplifyHonourTheTimeout) {
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     EXPECT_NE(status, -1) << command;
+    // The whole specification does not settle in 5 ms, which diagnose
+    // reports like check does: DEADLINE_EXCEEDED, exit 4.
+    if (std::string_view(command) == "diagnose") {
+      EXPECT_EQ(WEXITSTATUS(status), 4);
+    }
     // Each probe gets the whole 5 ms: (104 + 2) x 5 ms, plus the
     // encoding that runs before the first deadline poll.
     EXPECT_LT(wall.count(), 5.0) << command;

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/consistency.h"
 #include "reductions/cnf.h"
 #include "reductions/cnf_depth2.h"
@@ -103,6 +104,69 @@ TEST(SearchShapeTest, QbfTo2HrcNodeCounts) {
         QbfTo2HrcSpec(formula).ValueOrDie(), formula.Evaluate(), context);
     EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
     EXPECT_EQ(verdict.stats.lp_pivots, golden.pivots) << context;
+  }
+}
+
+// CONSISTENT hierarchical draws also pin the number of scope
+// subproblems: each distinct scope is solved once, and the witness is
+// stitched from those solves, so no scope instance is solved again.
+struct ScopeGolden {
+  uint64_t draw;  // nesting levels, or the QBF seed
+  int64_t nodes;
+  int64_t pivots;
+  int64_t subproblems;
+};
+
+void ExpectScopeGolden(const ConsistencyVerdict& verdict,
+                       const ScopeGolden& golden, const std::string& context) {
+  EXPECT_EQ(verdict.stats.solver_nodes, golden.nodes) << context;
+  EXPECT_EQ(verdict.stats.lp_pivots, golden.pivots) << context;
+  EXPECT_EQ(verdict.stats.subproblems, golden.subproblems) << context;
+}
+
+// `levels` nested scopes with fan-out 2: s_{i-1}(s_i.v -> s_i) for
+// every level i. The witness has 2^levels - 1 scope instances but only
+// `levels` distinct scopes.
+Specification NestedScopes(int levels) {
+  std::string dtd_text;
+  std::string constraints;
+  for (int level = 0; level < levels; ++level) {
+    std::string child = "s" + std::to_string(level + 1);
+    dtd_text += StrCat("<!ELEMENT s", std::to_string(level), " (", child,
+                       ", ", child, ")>\n");
+    constraints += StrCat("s", std::to_string(level), "(", child, ".v -> ",
+                          child, ")\n");
+  }
+  dtd_text += StrCat("<!ELEMENT s", std::to_string(levels), " EMPTY>\n");
+  for (int level = 1; level <= levels; ++level) {
+    dtd_text += StrCat("<!ATTLIST s", std::to_string(level), " v>\n");
+  }
+  return Specification::Parse(dtd_text, constraints).ValueOrDie();
+}
+
+TEST(SearchShapeTest, NestedScopesAreSolvedOncePerScope) {
+  const ScopeGolden goldens[] = {{4, 4, 28, 4}, {6, 6, 42, 6}};
+  for (const ScopeGolden& golden : goldens) {
+    const int levels = static_cast<int>(golden.draw);
+    std::string context = "nested scopes, " + std::to_string(levels) +
+                          " levels";
+    ExpectScopeGolden(CheckAgainstOracle(NestedScopes(levels),
+                                         /*expected_consistent=*/true,
+                                         context),
+                      golden, context);
+  }
+}
+
+TEST(SearchShapeTest, ConsistentQbfTo2HrcNodeCounts) {
+  const ScopeGolden goldens[] = {{55, 254, 1487, 15}, {57, 211, 1406, 15}};
+  for (const ScopeGolden& golden : goldens) {
+    QbfFormula formula = QbfFormula::Random(3, 3, 2, golden.draw);
+    ASSERT_TRUE(formula.Evaluate()) << "seed " << golden.draw;
+    std::string context = "qbf-hrc m=3 seed " + std::to_string(golden.draw);
+    ExpectScopeGolden(CheckAgainstOracle(QbfTo2HrcSpec(formula).ValueOrDie(),
+                                         /*expected_consistent=*/true,
+                                         context),
+                      golden, context);
   }
 }
 

@@ -243,6 +243,62 @@ TEST_F(ServerTest, CoresComputedOncePerSpecAndServedFromCache) {
   EXPECT_GE(stats_.Counter("serve/cache_core_attached"), 1);
 }
 
+// Two b's need distinct y values, and every y must be the x of the one
+// a: those two constraints are the core. The c-keys and the a-key are
+// not part of it.
+std::string CoreSpec(const std::string& extra_constraints) {
+  return "<!ELEMENT r (a, b, b, c*)>\n"
+         "<!ATTLIST a x>\n"
+         "<!ATTLIST b y>\n"
+         "<!ATTLIST c z>\n"
+         "%%\n"
+         "b.y -> b\n"
+         "b.y <= a.x\n" +
+         extra_constraints;
+}
+
+TEST_F(ServerTest, EveryAnswerSourceComputesAnOwedCoreOnce) {
+  StartServer(ServeOptions{.jobs = 1});
+  auto expect_core = [](const std::string& response) {
+    EXPECT_TRUE(Contains(response, "\"verdict\":\"INCONSISTENT\""))
+        << response;
+    EXPECT_TRUE(Contains(response, "\"core\":\"")) << response;
+  };
+
+  // A cold solve.
+  std::string cold =
+      RoundTrip(SpecRequest("k1", kInconsistentSpec, ",\"core\":true"));
+  expect_core(cold);
+  EXPECT_TRUE(Contains(cold, "\"cached\":false")) << cold;
+
+  // A canonical-tier hit of an entry cached without a core: the
+  // respelling differs only by a comment.
+  EXPECT_FALSE(Contains(RoundTrip(SpecRequest("k2", CoreSpec("c.z -> c\n"))),
+                        "\"core\""));
+  std::string canonical = RoundTrip(SpecRequest(
+      "k3", CoreSpec("# respelled\nc.z -> c\n"), ",\"core\":true"));
+  expect_core(canonical);
+  EXPECT_TRUE(Contains(canonical, "\"cached\":true")) << canonical;
+
+  // A confirmation from the history. The new constraints drop the c-key,
+  // so only the core recorded by the canonical hit confirms them.
+  std::string confirmed = RoundTrip(
+      SpecRequest("k4", CoreSpec("a.x -> a\n"), ",\"core\":true"));
+  expect_core(confirmed);
+  EXPECT_TRUE(Contains(confirmed, "\"cached\":true")) << confirmed;
+
+  // A later edit that adds a constraint is confirmed from a recorded
+  // core, with no core requested and none computed.
+  std::string edit = RoundTrip(SpecRequest("k5", CoreSpec("r.c.z -> r.c\n")));
+  EXPECT_TRUE(Contains(edit, "\"verdict\":\"INCONSISTENT\"")) << edit;
+  EXPECT_TRUE(Contains(edit, "\"cached\":true")) << edit;
+
+  server_->Shutdown();
+  EXPECT_EQ(stats_.Counter("serve/core_computed"), 3);
+  EXPECT_EQ(stats_.Counter("serve/core_failed"), 0);
+  EXPECT_EQ(stats_.Counter("serve/incremental_hits"), 2);
+}
+
 TEST_F(ServerTest, PairFormMatchesCombinedFormVerdict) {
   StartServer(ServeOptions{.jobs = 1});
   std::string combined = RoundTrip(SpecRequest("a", kConsistentSpec));
