@@ -125,12 +125,19 @@ Result<ConstraintSet> MinimizeInconsistentCore(
     ASSIGN_OR_RETURN(ConsistencyVerdict verdict, checker.Check(spec));
     if (options.deadline.cancelled()) return Cancelled();
     // A budget too tight for the whole specification is a budget
-    // outcome, not an input error.
+    // outcome, not an input error. So is an UNKNOWN whose exact stage
+    // ran out of budget: the degraded rung it fell back on cannot
+    // refute, and its note carries the rung-by-rung trail.
     if (verdict.outcome == ConsistencyOutcome::kDeadlineExceeded) {
       return Status::DeadlineExceeded(
           "the whole specification did not settle within the deadline");
     }
-    if (verdict.outcome == ConsistencyOutcome::kResourceExhausted) {
+    const bool exact_exhausted =
+        !verdict.degradation.empty() &&
+        verdict.degradation.front().outcome ==
+            OutcomeName(ConsistencyOutcome::kResourceExhausted);
+    if (verdict.outcome == ConsistencyOutcome::kResourceExhausted ||
+        (verdict.outcome == ConsistencyOutcome::kUnknown && exact_exhausted)) {
       return Status::ResourceExhausted(
           "the whole specification ran out of budget: " + verdict.note);
     }

@@ -1,5 +1,6 @@
 #include "ilp/presolve.h"
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,11 +28,17 @@ struct Work {
   std::vector<BigInt> lb;                  // >= 0 always
   std::vector<std::optional<BigInt>> ub;   // nullopt: unbounded
   std::vector<std::optional<BigInt>> fixed;
+  // Rows holding each variable, built once from the input. Rows only
+  // lose terms, and a variable leaves a row only once it is pinned.
+  std::vector<std::vector<int>> rows_of;
+  // Rows awaiting a ReduceRow visit; queued[i] is set while row i is
+  // in the queue.
+  std::deque<int> queue;
+  std::vector<bool> queued;
   const std::vector<std::string>* names = nullptr;
   PresolveStats stats;
   bool infeasible = false;
   std::string reason;
-  bool changed = false;
 
   void Refute(const WorkRow& row, const std::string& why) {
     if (infeasible) return;
@@ -51,8 +58,25 @@ struct Work {
              lb[var].ToString() + ", " + (*ub[var]).ToString() + "]";
   }
 
-  // Bound tighteners; both flag `changed` only on actual progress and
-  // refute when a domain empties.
+  void Enqueue(int index) {
+    if (queued[index] || !rows[index].alive) return;
+    queued[index] = true;
+    queue.push_back(index);
+  }
+
+  // Pins `var` the moment its bounds meet and queues every live row
+  // holding it, so that row's next visit substitutes the value in.
+  void PinIfFixed(VarId var) {
+    if (fixed[var].has_value() || !ub[var].has_value() || lb[var] != *ub[var]) {
+      return;
+    }
+    fixed[var] = lb[var];
+    ++stats.vars_fixed;
+    for (int index : rows_of[var]) Enqueue(index);
+  }
+
+  // Bound tighteners; both refute when a domain empties and pin a
+  // variable whose bounds meet.
   void TightenUb(VarId var, const BigInt& bound) {
     if (bound.is_negative()) {
       infeasible = true;
@@ -60,18 +84,20 @@ struct Work {
                " <= " + bound.ToString();
       return;
     }
-    if (!ub[var].has_value() || bound < *ub[var]) {
-      ub[var] = bound;
-      changed = true;
+    if (!ub[var].has_value() || bound < *ub[var]) ub[var] = bound;
+    if (lb[var] > *ub[var]) {
+      RefuteBounds(var);
+      return;
     }
-    if (ub[var].has_value() && lb[var] > *ub[var]) RefuteBounds(var);
+    PinIfFixed(var);
   }
   void TightenLb(VarId var, const BigInt& bound) {
-    if (bound > lb[var]) {
-      lb[var] = bound;
-      changed = true;
+    if (bound > lb[var]) lb[var] = bound;
+    if (ub[var].has_value() && lb[var] > *ub[var]) {
+      RefuteBounds(var);
+      return;
     }
-    if (ub[var].has_value() && lb[var] > *ub[var]) RefuteBounds(var);
+    PinIfFixed(var);
   }
 };
 
@@ -83,7 +109,6 @@ void SubstituteFixed(Work* work, WorkRow* row) {
     if (value.has_value()) {
       row->rhs -= it->second * *value;
       it = row->terms.erase(it);
-      work->changed = true;
     } else {
       ++it;
     }
@@ -109,7 +134,6 @@ void ReduceRow(Work* work, WorkRow* row) {
     }
     row->alive = false;
     ++work->stats.rows_dropped;
-    work->changed = true;
     return;
   }
 
@@ -163,7 +187,6 @@ void ReduceRow(Work* work, WorkRow* row) {
       case Relation::kGe: row->rhs = row->rhs.CeilDiv(gcd); break;
     }
     ++work->stats.gcd_tightened;
-    work->changed = true;
   }
 
   // All-positive rows resolve against the implicit x >= 0 domain.
@@ -176,14 +199,12 @@ void ReduceRow(Work* work, WorkRow* row) {
       // sum of nonnegatives >= negative: trivially true.
       row->alive = false;
       ++work->stats.rows_dropped;
-      work->changed = true;
       return;
     }
     if (row->rhs.is_zero()) {
       if (row->relation == Relation::kGe) {
         row->alive = false;  // lhs >= 0 always holds
         ++work->stats.rows_dropped;
-        work->changed = true;
         return;
       }
       // <= 0 or == 0 with positive coefficients forces every variable
@@ -195,7 +216,6 @@ void ReduceRow(Work* work, WorkRow* row) {
       }
       row->alive = false;
       ++work->stats.rows_dropped;
-      work->changed = true;
       return;
     }
   }
@@ -229,36 +249,33 @@ void ReduceRow(Work* work, WorkRow* row) {
     if (work->infeasible) return;
     row->alive = false;
     ++work->stats.singleton_bounds;
-    work->changed = true;
     return;
   }
 }
 
-// Relation-independent canonical key of a row's left-hand side.
-std::string LhsKey(const WorkRow& row) {
-  std::string key;
-  for (const auto& [var, coeff] : row.terms) {
-    key += std::to_string(var);
-    key += ':';
-    key += coeff.ToString();
-    key += ',';
+// Orders left-hand sides term by term, so rows with identical terms
+// share one merge group whatever their relation.
+struct TermsLess {
+  bool operator()(const std::map<VarId, BigInt>* a,
+                  const std::map<VarId, BigInt>* b) const {
+    return *a < *b;
   }
-  return key;
-}
+};
 
 // Collapses rows with identical left-hand sides to their tightest
-// representatives; conflicting pairs refute.
+// representatives; conflicting pairs refute, and a <= / >= pair that
+// pinches into an equality queues the surviving row.
 void MergeDuplicates(Work* work) {
   struct Group {
     int eq = -1;
     int le = -1;
     int ge = -1;
   };
-  std::map<std::string, Group> groups;
+  std::map<const std::map<VarId, BigInt>*, Group, TermsLess> groups;
   for (size_t i = 0; i < work->rows.size(); ++i) {
     WorkRow& row = work->rows[i];
     if (!row.alive) continue;
-    Group& group = groups[LhsKey(row)];
+    Group& group = groups[&row.terms];
     auto merge = [&](int* slot, bool keep_smaller_rhs) {
       if (*slot < 0) {
         *slot = static_cast<int>(i);
@@ -273,7 +290,6 @@ void MergeDuplicates(Work* work) {
         row.alive = false;
       }
       ++work->stats.duplicates_merged;
-      work->changed = true;
     };
     switch (row.relation) {
       case Relation::kEq:
@@ -284,7 +300,6 @@ void MergeDuplicates(Work* work) {
           }
           row.alive = false;
           ++work->stats.duplicates_merged;
-          work->changed = true;
         } else {
           group.eq = static_cast<int>(i);
         }
@@ -304,7 +319,6 @@ void MergeDuplicates(Work* work) {
       if (index >= 0 && work->rows[index].alive) {
         work->rows[index].alive = false;
         ++work->stats.rows_dropped;
-        work->changed = true;
       }
     };
     if (group.eq >= 0 && work->rows[group.eq].alive) {
@@ -336,6 +350,7 @@ void MergeDuplicates(Work* work) {
       if (ge.rhs == le.rhs) {
         le.relation = Relation::kEq;  // pinched to equality
         drop(group.ge);
+        work->Enqueue(group.le);
       }
     }
   }
@@ -361,10 +376,7 @@ PresolveInfo PresolveProgram(const IntegerProgram& program,
   work.lb.assign(n, BigInt(0));
   work.ub.assign(n, std::nullopt);
   work.fixed.assign(n, std::nullopt);
-  for (VarId var = 0; var < n; ++var) {
-    const BigInt* bound = program.UpperBound(var);
-    if (bound != nullptr) work.ub[var] = *bound;
-  }
+  work.rows_of.resize(n);
   work.rows.reserve(program.linear().size());
   for (const LinearConstraint& constraint : program.linear()) {
     WorkRow row;
@@ -372,52 +384,39 @@ PresolveInfo PresolveProgram(const IntegerProgram& program,
     row.relation = constraint.relation;
     row.rhs = constraint.rhs;
     row.label = constraint.label;
+    for (const auto& [var, coeff] : row.terms) {
+      (void)coeff;
+      work.rows_of[var].push_back(static_cast<int>(work.rows.size()));
+    }
     work.rows.push_back(std::move(row));
   }
-
-  // Reduction fixpoint.
-  for (int pass = 0; pass < options.max_passes; ++pass) {
-    work.changed = false;
-    for (WorkRow& row : work.rows) {
-      if (!row.alive) continue;
-      ReduceRow(&work, &row);
-      if (work.infeasible) break;
-    }
-    if (!work.infeasible) MergeDuplicates(&work);
-    if (work.infeasible) break;
-    // Equal bounds pin the variable; substitution happens on the next
-    // visit of each row (or the final sweep below).
-    for (VarId var = 0; var < n; ++var) {
-      if (work.fixed[var].has_value()) continue;
-      if (work.ub[var].has_value() && work.lb[var] == *work.ub[var]) {
-        work.fixed[var] = work.lb[var];
-        ++work.stats.vars_fixed;
-        work.changed = true;
-      }
-    }
-    if (!work.changed) break;
+  work.queued.assign(work.rows.size(), false);
+  for (size_t i = 0; i < work.rows.size(); ++i) {
+    work.Enqueue(static_cast<int>(i));
   }
-  // Final substitution sweep: the fixpoint loop may have exited (pass
-  // budget) with fixes not yet folded into every row.
-  if (!work.infeasible) {
-    for (WorkRow& row : work.rows) {
-      if (!row.alive) continue;
-      SubstituteFixed(&work, &row);
-      if (row.terms.empty()) {
-        bool holds = false;
-        switch (row.relation) {
-          case Relation::kLe: holds = !row.rhs.is_negative(); break;
-          case Relation::kGe: holds = row.rhs.sign() <= 0; break;
-          case Relation::kEq: holds = row.rhs.is_zero(); break;
-        }
-        if (!holds) {
-          work.Refute(row, "empty row");
-          break;
-        }
-        row.alive = false;
-        ++work.stats.rows_dropped;
-      }
+  // Program bounds enter as tightenings, so a variable bounded by 0 is
+  // pinned before the first row visit.
+  for (VarId var = 0; var < n && !work.infeasible; ++var) {
+    const BigInt* bound = program.UpperBound(var);
+    if (bound != nullptr) work.TightenUb(var, *bound);
+  }
+
+  // Reduction fixpoint. Every row is visited once, and again only when
+  // one of its variables is pinned or a merge pinches it into an
+  // equality; the run ends when a merge round queues nothing. Each
+  // variable is pinned at most once and each row pinched at most once,
+  // so there are at most (rows + pinches + the row counts of the pinned
+  // variables) row visits and (pinches + 1) merge rounds.
+  while (!work.infeasible) {
+    while (!work.queue.empty() && !work.infeasible) {
+      const int index = work.queue.front();
+      work.queue.pop_front();
+      work.queued[index] = false;
+      if (work.rows[index].alive) ReduceRow(&work, &work.rows[index]);
     }
+    if (work.infeasible) break;
+    MergeDuplicates(&work);
+    if (work.queue.empty()) break;
   }
 
   PresolveInfo info;

@@ -5,7 +5,8 @@
 // is a genuine kUnsat, and any integer point of the reduced system
 // maps back (via PresolveInfo) to a point of the original one.
 //
-// Reductions performed, to a fixpoint:
+// Row reductions, applied to each row on its visit:
+//   * fixed variables substitute out, folding into the right-hand side;
 //   * empty-row / trivial-infeasibility detection (0 rel b);
 //   * row gcd normalization with integer rounding — an equality whose
 //     coefficient gcd does not divide its right-hand side refutes the
@@ -14,13 +15,20 @@
 //   * sign-canonical rows whose coefficients are all positive resolve
 //     directly against x >= 0 (infeasible, redundant, or forcing every
 //     variable in the row to zero);
-//   * singleton rows convert to variable bounds;
-//   * duplicate/dominated rows with identical left-hand sides merge to
-//     the tightest representative (conflicting equalities and crossed
-//     <=/>= pairs refute);
-//   * fixed variables (lower bound == upper bound) substitute out, and
-//     variables absent from every surviving row pin to their lower
-//     bound — both only when variable elimination is allowed.
+//   * singleton rows convert to variable bounds.
+// A variable is pinned the moment its bounds meet, and pinning queues
+// every live row that holds it. Once the queue drains, rows with
+// identical left-hand sides merge to the tightest representative
+// (conflicting equalities and crossed <=/>= pairs refute; a pair that
+// pinches into an equality is queued again). The run stops when a
+// merge round queues nothing, which is the fixpoint: no row changes on
+// another visit and no two rows share a left-hand side and relation.
+// It needs no pass cap: each variable is pinned at most once and each
+// row pinched at most once (the bound is spelled out in presolve.cc).
+//
+// With variable elimination allowed, pinned variables and variables
+// absent from every surviving row leave the space (the latter pinned
+// to their lower bound).
 #ifndef XMLVERIFY_ILP_PRESOLVE_H_
 #define XMLVERIFY_ILP_PRESOLVE_H_
 
@@ -40,8 +48,6 @@ struct PresolveOptions {
   /// outside the linear rows (conditionals, prequadratics) must turn
   /// this off; every other reduction still applies.
   bool allow_variable_elimination = true;
-  /// Fixpoint guard: maximum full passes over the row set.
-  int max_passes = 8;
 };
 
 struct PresolveStats {

@@ -198,6 +198,26 @@ TEST(DiagnosisTest, ReportsABudgetTooTightForTheWholeSpecification) {
       StatusCode::kResourceExhausted);
 }
 
+TEST(DiagnosisTest, ReportsAnExactStageOutOfBudgetBehindTheLadder) {
+  // With the degradation ladder on, a memory ceiling that stops the
+  // exact stage sends the check down the degraded bounded rung, which
+  // cannot refute and ends UNKNOWN. The exact stage ran out of budget,
+  // so the answer is still a budget outcome, carrying the trail.
+  const CnfFormula formula = CnfFormula::Random(3, 12, 3, 2);
+  ASSERT_FALSE(formula.Solve().has_value());
+  ASSERT_OK_AND_ASSIGN(Specification spec, CnfToDepth2Spec(formula));
+  ConsistencyChecker::Options starved;
+  starved.budget.set_memory_limit_bytes(1);
+  Result<ConstraintSet> core =
+      MinimizeInconsistentCore(spec.dtd, spec.constraints, starved);
+  EXPECT_EQ(core.status().code(), StatusCode::kResourceExhausted);
+  const std::string& trail = core.status().message();
+  EXPECT_NE(trail.find("exact: RESOURCE_EXHAUSTED"), std::string::npos)
+      << trail;
+  EXPECT_NE(trail.find("-> degraded-bounded: UNKNOWN"), std::string::npos)
+      << trail;
+}
+
 TEST(DiagnosisTest, GeographyCoreKeepsTheCountingArgument) {
   Specification spec =
       Specification::Parse(R"(

@@ -7,6 +7,17 @@
 // phase-1 exits) shows up here. Such a change must update these values
 // on purpose; a pure speed-up of the simplex must leave them as they
 // are.
+//
+// Presolve runs before every root LP, so a change in what it removes
+// moves these counts too. The CNF, SUBSET-SUM and QBF -> 2-HRC tables
+// were re-recorded when presolve started reducing to its fixpoint
+// instead of stopping after eight passes. The LP receives fewer rows:
+// the CNF and SUBSET-SUM node counts hold, and seven of their eight
+// draws take fewer pivots (CNF seed 11: 363 -> 362, SUBSET-SUM seed
+// 21: 343 -> 322; CNF seed 13 takes four more, 351 -> 355). The
+// QBF -> 2-HRC scopes land on other vertices, with more nodes but
+// fewer pivots (seed 31: 314 -> 356 nodes, 1,596 -> 1,498 pivots).
+// The nested-scope programs did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,7 +60,7 @@ ConsistencyVerdict CheckAgainstOracle(const Specification& spec,
 
 TEST(SearchShapeTest, CnfDepth2NodeCounts) {
   const Golden goldens[] = {
-      {11, 6, 363}, {12, 9, 373}, {13, 4, 351}, {14, 11, 372}};
+      {11, 6, 362}, {12, 9, 372}, {13, 4, 355}, {14, 11, 370}};
   for (const Golden& golden : goldens) {
     CnfFormula formula = CnfFormula::Random(6, 12, 3, golden.seed);
     std::string context = "cnf n=6 seed " + std::to_string(golden.seed);
@@ -82,7 +93,7 @@ SubsetSumInstance SubsetSumDraw(uint64_t seed) {
 
 TEST(SearchShapeTest, SubsetSumNodeCounts) {
   const Golden goldens[] = {
-      {21, 41, 343}, {22, 21, 270}, {23, 11, 238}, {24, 15, 248}};
+      {21, 41, 322}, {22, 21, 264}, {23, 11, 230}, {24, 15, 235}};
   for (const Golden& golden : goldens) {
     SubsetSumInstance instance = SubsetSumDraw(golden.seed);
     std::string context = "subset-sum b=8 seed " + std::to_string(golden.seed);
@@ -96,7 +107,7 @@ TEST(SearchShapeTest, SubsetSumNodeCounts) {
 
 TEST(SearchShapeTest, QbfTo2HrcNodeCounts) {
   const Golden goldens[] = {
-      {31, 314, 1596}, {32, 297, 1528}, {33, 272, 1473}, {34, 223, 1447}};
+      {31, 356, 1498}, {32, 328, 1446}, {33, 281, 1371}, {34, 242, 1355}};
   for (const Golden& golden : goldens) {
     QbfFormula formula = QbfFormula::Random(3, 3, 2, golden.seed);
     std::string context = "qbf-hrc m=3 seed " + std::to_string(golden.seed);
@@ -158,7 +169,7 @@ TEST(SearchShapeTest, NestedScopesAreSolvedOncePerScope) {
 }
 
 TEST(SearchShapeTest, ConsistentQbfTo2HrcNodeCounts) {
-  const ScopeGolden goldens[] = {{55, 254, 1487, 15}, {57, 211, 1406, 15}};
+  const ScopeGolden goldens[] = {{55, 267, 1391, 15}, {57, 221, 1328, 15}};
   for (const ScopeGolden& golden : goldens) {
     QbfFormula formula = QbfFormula::Random(3, 3, 2, golden.draw);
     ASSERT_TRUE(formula.Evaluate()) << "seed " << golden.draw;

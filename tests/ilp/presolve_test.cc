@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/bigint.h"
+#include "core/specification.h"
+#include "encoding/cardinality.h"
+#include "encoding/flow_encoder.h"
 #include "ilp/linear.h"
 #include "ilp/solver.h"
+#include "reductions/cnf.h"
+#include "reductions/cnf_depth2.h"
+#include "reductions/subset_sum.h"
+#include "tests/ilp/random_lp.h"
 
 namespace xmlverify {
 namespace {
@@ -219,6 +230,136 @@ TEST(PresolveTest, EliminationDisabledKeepsIdentitySpace) {
   }
   EXPECT_TRUE(pinned_below);
   EXPECT_TRUE(pinned_above);
+}
+
+// x1 = 1 and x(k-1) + x(k) = 2k - 1: each link becomes a singleton
+// only once the link before it is substituted, so the chain resolves
+// only at the fixpoint, one link per pinned variable.
+TEST(PresolveTest, LinkedEqualityChainResolvesCompletely) {
+  constexpr int kLinks = 20;
+  IntegerProgram program;
+  std::vector<VarId> x;
+  for (int k = 1; k <= kLinks; ++k) {
+    x.push_back(program.NewVariable("x" + std::to_string(k)));
+  }
+  program.AddLinear(Expr({{x[0], 1}}), Relation::kEq, BigInt(1), "link1");
+  for (int k = 2; k <= kLinks; ++k) {
+    program.AddLinear(Expr({{x[k - 2], 1}, {x[k - 1], 1}}), Relation::kEq,
+                      BigInt(2 * k - 1), "link" + std::to_string(k));
+  }
+  PresolveInfo info = PresolveProgram(program);
+  ASSERT_FALSE(info.infeasible()) << info.infeasible_reason();
+  EXPECT_EQ(info.reduced_num_vars(), 0);
+  EXPECT_TRUE(info.rows().empty());
+  for (VarId var : x) EXPECT_EQ(info.ReducedVar(var), -1);
+  std::vector<BigInt> original = info.MapSolution({});
+  ASSERT_EQ(original.size(), static_cast<size_t>(kLinks));
+  for (int k = 1; k <= kLinks; ++k) EXPECT_EQ(original[k - 1], BigInt(k));
+  EXPECT_TRUE(program.IsSatisfied(original));
+}
+
+// Presolves `program`, then presolves the program made of its output
+// (rows() over reduced_num_vars() variables) again. A fixpoint leaves
+// nothing for the second run: it returns the same rows, refutes
+// nothing and, with elimination allowed, pins no variable. Returns
+// false when the first run refutes `program`.
+bool ExpectIdempotent(const IntegerProgram& program,
+                      const PresolveOptions& options,
+                      const std::string& context) {
+  PresolveInfo first = PresolveProgram(program, options);
+  if (first.infeasible()) return false;
+  IntegerProgram reduced;
+  for (int var = 0; var < first.reduced_num_vars(); ++var) {
+    reduced.NewVariable("r" + std::to_string(var));
+  }
+  for (const LinearConstraint& row : first.rows()) {
+    reduced.AddLinear(row.lhs, row.relation, row.rhs, row.label);
+  }
+  PresolveInfo second = PresolveProgram(reduced, options);
+  EXPECT_FALSE(second.infeasible())
+      << context << ": " << second.infeasible_reason();
+  if (second.infeasible()) return true;
+  EXPECT_EQ(second.reduced_num_vars(), first.reduced_num_vars()) << context;
+  if (options.allow_variable_elimination) {
+    EXPECT_EQ(second.stats().vars_fixed, 0) << context;
+  }
+  EXPECT_EQ(second.rows().size(), first.rows().size()) << context;
+  const size_t common = std::min(first.rows().size(), second.rows().size());
+  for (size_t i = 0; i < common; ++i) {
+    EXPECT_EQ(second.rows()[i].ToString(reduced.variable_names()),
+              first.rows()[i].ToString(reduced.variable_names()))
+        << context << ", row " << i;
+  }
+  return true;
+}
+
+PresolveOptions WithElimination(bool allow) {
+  PresolveOptions options;
+  options.allow_variable_elimination = allow;
+  return options;
+}
+
+TEST(PresolveTest, SecondPresolveOfRandomProgramsChangesNothing) {
+  int compared = 0;
+  for (bool planted : {false, true}) {
+    RandomLpShape shape;
+    shape.planted = planted;
+    shape.redundant_equalities = planted ? 2 : 0;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      uint64_t state = seed;
+      RandomLp lp = GenerateRandomLp(&state, shape);
+      IntegerProgram program;
+      for (int var = 0; var < lp.num_vars; ++var) {
+        program.NewVariable("x" + std::to_string(var));
+      }
+      for (const LinearConstraint& row : lp.rows) {
+        program.AddLinear(row.lhs, row.relation, row.rhs, row.label);
+      }
+      for (bool allow : {true, false}) {
+        std::string context = std::string(planted ? "planted" : "random") +
+                              " seed " + std::to_string(seed) +
+                              (allow ? "" : ", no elimination");
+        if (ExpectIdempotent(program, WithElimination(allow), context)) {
+          ++compared;
+        }
+      }
+    }
+  }
+  // Planted programs are feasible, so at least those get compared.
+  EXPECT_GE(compared, 400);
+}
+
+// The linear rows of an absolute check's program: Psi_D and C_Sigma,
+// built the way CheckAbsoluteConsistency builds them.
+IntegerProgram EncodeAbsolute(const Specification& spec) {
+  IntegerProgram program;
+  DtdFlowSystem flow =
+      DtdFlowSystem::Build(spec.dtd, nullptr, &program).ValueOrDie();
+  AbsoluteCardinality::Emit(spec.dtd, spec.constraints, {}, &flow, &program)
+      .ValueOrDie();
+  return program;
+}
+
+TEST(PresolveTest, SecondPresolveOfEncoderProgramsChangesNothing) {
+  std::vector<std::pair<std::string, Specification>> specs;
+  for (uint64_t seed = 11; seed <= 14; ++seed) {
+    specs.emplace_back(
+        "cnf n=6 seed " + std::to_string(seed),
+        CnfToDepth2Spec(CnfFormula::Random(6, 12, 3, seed)).ValueOrDie());
+  }
+  SubsetSumInstance subset_sum;
+  subset_sum.items = {37, 101, 143, 58, 219, 7, 180, 96};
+  subset_sum.target = 404;
+  specs.emplace_back("subset-sum b=8",
+                     SubsetSumToSpec(subset_sum).ValueOrDie());
+  for (const auto& [name, spec] : specs) {
+    IntegerProgram program = EncodeAbsolute(spec);
+    for (bool allow : {true, false}) {
+      std::string context = name + (allow ? "" : ", no elimination");
+      EXPECT_TRUE(ExpectIdempotent(program, WithElimination(allow), context))
+          << context << ": the first presolve refuted the program";
+    }
+  }
 }
 
 // End-to-end agreement: the default pipeline and the legacy one (no
